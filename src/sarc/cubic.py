@@ -1,8 +1,9 @@
 """Cubic-model subproblem: m(s) = f0 + g^T s + 0.5 s^T H s + (sigma/3) ||s||^3.
 
 The minimizer over a growing Krylov subspace is computed by the Lanczos
-process with full re-orthogonalization. Each subspace problem reduces, in the
-Lanczos basis, to a tridiagonal cubic whose stationarity system is
+process with full re-orthogonalization, one Hessian-vector product per Krylov
+step. Each subspace problem reduces, in the Lanczos basis, to a tridiagonal
+cubic whose stationarity system is
 
     (T + lambda I) y = -||g|| e1,   lambda = sigma ||y||,
 
@@ -11,6 +12,16 @@ phi(lambda) = 1/||y(lambda)|| - sigma/lambda over
 lambda in (max(0, -lambda_min(T)), infinity). The subspace iterate is globally
 optimal over span(Q) by construction, which supplies the subspace-optimality
 clause of the stronger termination condition for free.
+
+The termination residual and the model decrease come from the Lanczos
+recurrence H Q_k = Q_k T_k + beta_k q_{k+1} e_k^T (the GLTR / ARC evaluation
+of Gould, Lucidi, Roma & Toint 1999; Cartis, Gould & Toint 2011): for
+s = Q_k y,
+
+    ||grad m(s)||^2 = || ||g|| e1 + (T_k + sigma ||y|| I) y ||^2 + (beta_k y_k)^2,
+    f0 - m(s)       = -(||g|| y_1 + 0.5 y^T T_k y + sigma/3 ||y||^3),
+
+so no full-space gradient is formed and s is lifted once, on return.
 
 Termination variants (residual r = ||grad m(s)||, gn = ||grad f(x)||):
 
@@ -24,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 
 class _MatrixOp:
@@ -79,7 +91,7 @@ class TerminationSpec:
 class SubproblemResult:
     s: np.ndarray
     model_decrease: float  # f0 - m(s) = -(g.s + 0.5 s.Hs + sigma/3 ||s||^3)
-    grad_norm: float  # ||grad m(s)|| in full space
+    grad_norm: float  # ||grad m(s)||, from the Lanczos recurrence
     k: int  # Krylov dimension reached
     hvp_count: int
     status: str  # converged | breakdown | exhausted
@@ -87,13 +99,24 @@ class SubproblemResult:
 
 
 def _tridiag_solve(diag, off, lam, rhs):
-    k = diag.shape[0]
-    ab = np.zeros((3, k))
-    ab[1] = diag + lam
-    if k > 1:
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    """(T + lam I)^{-1} rhs for symmetric tridiagonal T = tridiag(off, diag, off).
+
+    Calls LAPACK dgtsv directly, the routine scipy.linalg.solve_banded uses
+    for one sub- and one super-diagonal, so results are bit-identical to it
+    without its per-call argument handling. Like solve_banded, raises
+    ValueError on non-finite input and LinAlgError on a singular system.
+    """
+    d = diag + lam
+    if not (np.isfinite(d).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if d.shape[0] == 1:
+        return rhs / d[0]
+    *_, x, info = scipy.linalg.lapack.dgtsv(off, d, off, rhs, overwrite_d=True)
+    if info > 0:
+        raise scipy.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
 
 
 def _tridiag_eig_min(diag, off):
@@ -254,12 +277,13 @@ def minimize_model(
 ) -> SubproblemResult:
     """Lanczos/Krylov minimization of the cubic model until `spec` holds.
 
-    Grows the subspace one Lanczos vector at a time (full re-orthogonalization),
-    solves each subspace problem exactly through the tridiagonal secular
-    equation, lifts the iterate, and checks the termination residual with an
-    explicit full-space model gradient. Breakdown (invariant subspace) returns
-    the subspace solution, which is then globally optimal over the reachable
-    space; exhausting max_dim returns the last iterate flagged 'exhausted'.
+    Grows the subspace one Lanczos vector at a time (full re-orthogonalization,
+    one Hessian-vector product per step), solves each subspace problem exactly
+    through the tridiagonal secular equation, and checks the termination
+    residual from the Lanczos recurrence; the iterate is lifted to full space
+    once, on return. Breakdown (invariant subspace) returns the subspace
+    solution, which is then globally optimal over the reachable space;
+    exhausting max_dim returns the last iterate flagged 'exhausted'.
     """
     g = model.g
     gn = float(np.linalg.norm(g))
@@ -270,57 +294,54 @@ def minimize_model(
         return SubproblemResult(np.zeros(d), 0.0, 0.0, 0, 0, "converged")
     if max_dim is None:
         max_dim = d
+    if max_dim < 1:
+        raise ValueError("max_dim must be >= 1")
     max_dim = min(max_dim, d)
+    sigma = model.sigma
 
     Q = np.empty((max_dim, d))
-    alphas: list[float] = []
-    betas: list[float] = []
+    alphas = np.empty(max_dim)
+    betas = np.empty(max_dim)
     q = g / gn
     beta_prev = 0.0
-    hvps = 0
-    s = np.zeros(d)
-    res = gn
-    decrease = 0.0
 
     for k in range(1, max_dim + 1):
         Q[k - 1] = q
         w = model.H.matvec(q)
-        hvps += 1
         if k > 1:
             w = w - beta_prev * Q[k - 2]
         alpha = float(q @ w)
         w = w - alpha * q
         # one full re-orthogonalization pass keeps Q^T Q = I to ~1e-14
         w = w - Q[:k].T @ (Q[:k] @ w)
-        alphas.append(alpha)
+        alphas[k - 1] = alpha
         beta = float(np.linalg.norm(w))
 
-        y = solve_tridiagonal_cubic(np.array(alphas), np.array(betas), gn, model.sigma)
-        s = Q[:k].T @ y
+        a, b = alphas[:k], betas[: k - 1]
+        y = solve_tridiagonal_cubic(a, b, gn, sigma)
         sn = float(np.linalg.norm(y))
-        Hs = model.H.matvec(s)
-        hvps += 1
-        grad_m = g + Hs + model.sigma * sn * s
-        res = float(np.linalg.norm(grad_m))
-        decrease = -float(g @ s + 0.5 * (s @ Hs) + model.sigma / 3.0 * sn**3)
+        Ty = a * y
+        Ty[:-1] += b * y[1:]
+        Ty[1:] += b * y[:-1]
+        # Q_k^T grad m(s) and the component along q_{k+1}, which is beta y_k
+        grad_y = Ty + sigma * sn * y
+        grad_y[0] += gn
+        res = float(np.hypot(np.linalg.norm(grad_y), beta * y[-1]))
+        decrease = -(gn * float(y[0]) + 0.5 * float(y @ Ty) + sigma / 3.0 * sn**3)
+        met = res <= spec.threshold(grad_f_norm, sn)
 
-        if res <= spec.threshold(grad_f_norm, sn):
-            return SubproblemResult(s, decrease, res, k, hvps, "converged")
-
-        scale = max(np.abs(alphas).max(), np.abs(betas).max() if betas else 0.0)
-        if beta <= 1e-12 * scale or beta == 0.0:
-            return SubproblemResult(
-                s, decrease, res, k, hvps, "breakdown",
-                condition_met=res <= spec.threshold(grad_f_norm, sn),
-            )
-        betas.append(beta)
-        beta_prev = beta
-        q = w / beta
-
-    return SubproblemResult(
-        s, decrease, res, max_dim, hvps, "exhausted",
-        condition_met=res <= spec.threshold(grad_f_norm, float(np.linalg.norm(s))),
-    )
+        if met:
+            status = "converged"
+        elif beta == 0.0 or beta <= 1e-12 * max(np.abs(a).max(), np.abs(b).max(initial=0.0)):
+            status = "breakdown"
+        elif k == max_dim:
+            status = "exhausted"
+        else:
+            betas[k - 1] = beta
+            beta_prev = beta
+            q = w / beta
+            continue
+        return SubproblemResult(Q[:k].T @ y, decrease, res, k, k, status, condition_met=met)
 
 
 def minimize_model_gd(

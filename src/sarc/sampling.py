@@ -31,20 +31,18 @@ from .problems import (
 )
 
 
-def lemma_uniform_bound(eps: float, per_iter_delta: float, L: float, d: int) -> int:
-    """Uncapped uniform sample-size bound (the concentration tests need the raw value)."""
+def _uniform_bound(eps: float, per_iter_delta: float, L: float, d: int) -> float:
     if not (0.0 < eps < 1.0 and 0.0 < per_iter_delta < 1.0):
         raise ValueError("eps and per_iter_delta must lie in (0,1)")
     if L <= 0.0 or d < 1:
         raise ValueError("need L > 0 and d >= 1")
     body = max(16.0 * L * L / eps**2, 4.0 * L / eps)
-    return int(math.ceil(body * math.log(2.0 * d / per_iter_delta)))
+    return body * math.log(2.0 * d / per_iter_delta)
 
 
-def lemma_nonuniform_bound(
+def _nonuniform_bound(
     eps: float, per_iter_delta: float, L: float, Lbar: float, p_min: float, d: int, n: int
-) -> int:
-    """Uncapped non-uniform sample-size bound."""
+) -> float:
     if not (0.0 < eps < 1.0 and 0.0 < per_iter_delta < 1.0):
         raise ValueError("eps and per_iter_delta must lie in (0,1)")
     if not (0.0 < Lbar <= L):
@@ -55,14 +53,32 @@ def lemma_nonuniform_bound(
         4.0 * Lbar * Lbar / eps**2,
         (2.0 * L / eps) * (n + 1.0 / p_min - 2.0) / n,
     )
-    return int(math.ceil(body * math.log(2.0 * d / per_iter_delta)))
+    return body * math.log(2.0 * d / per_iter_delta)
+
+
+def _capped(bound: float, n: int) -> int:
+    # a bound at or past n, including +inf (1/p_min overflows for subnormal
+    # p_min, L^2 for huge L), selects exact mode; it is never rounded to int
+    return int(math.ceil(bound)) if bound < n else n
+
+
+def lemma_uniform_bound(eps: float, per_iter_delta: float, L: float, d: int) -> int:
+    """Uncapped uniform sample-size bound (the concentration tests need the raw value)."""
+    return int(math.ceil(_uniform_bound(eps, per_iter_delta, L, d)))
+
+
+def lemma_nonuniform_bound(
+    eps: float, per_iter_delta: float, L: float, Lbar: float, p_min: float, d: int, n: int
+) -> int:
+    """Uncapped non-uniform sample-size bound."""
+    return int(math.ceil(_nonuniform_bound(eps, per_iter_delta, L, Lbar, p_min, d, n)))
 
 
 def sample_size_uniform(eps: float, per_iter_delta: float, L: float, d: int, n: int) -> int:
     """Uniform-sampling size, capped at n (cap triggers exact-Hessian mode)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return min(lemma_uniform_bound(eps, per_iter_delta, L, d), n)
+    return _capped(_uniform_bound(eps, per_iter_delta, L, d), n)
 
 
 def sample_size_nonuniform(
@@ -71,7 +87,7 @@ def sample_size_nonuniform(
     """Non-uniform-sampling size, capped at n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return min(lemma_nonuniform_bound(eps, per_iter_delta, L, Lbar, p_min, d, n), n)
+    return _capped(_nonuniform_bound(eps, per_iter_delta, L, Lbar, p_min, d, n), n)
 
 
 def nonuniform_distribution(model: LossModel, x: np.ndarray):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sarc.cubic import (
     CubicModel,
     TerminationSpec,
+    _tridiag_solve,
     minimize_model,
     minimize_model_gd,
     model_gradient,
@@ -98,6 +103,73 @@ class TestTridiagonalSolve:
             solve_tridiagonal_cubic(np.array([1.0]), np.array([]), -1.0, 1.0)
 
 
+class _MatvecOnly:
+    """An operator with matvec access only (no dense matrix to read)."""
+
+    def __init__(self, M):
+        self._M = M
+
+    def matvec(self, v):
+        return self._M @ v
+
+
+def _banded_outcome(solve, diag, off, lam, rhs):
+    try:
+        return "ok", solve(diag, off, lam, rhs)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        return type(exc), None
+
+
+def _solve_banded_reference(diag, off, lam, rhs):
+    ab = np.zeros((3, diag.shape[0]))
+    ab[1] = diag + lam
+    ab[0, 1:] = off
+    ab[2, :-1] = off
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+# small integers make exactly singular systems common; wide floats do the rest
+_entries = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _tridiagonal_systems(draw):
+    k = draw(st.integers(1, 64))
+    vec = lambda m: draw(hnp.arrays(np.float64, m, elements=_entries))
+    return vec(k), vec(k - 1), draw(_entries), vec(k)
+
+
+class TestTridiagSolve:
+    @settings(deadline=None)
+    @given(_tridiagonal_systems())
+    def test_bit_identical_to_solve_banded(self, system):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            kind, x = _banded_outcome(_tridiag_solve, *system)
+            ref_kind, ref = _banded_outcome(_solve_banded_reference, *system)
+        assert kind == ref_kind
+        if kind == "ok":
+            assert np.array_equal(x, ref, equal_nan=True)
+
+    def test_singular_raises_linalg_error(self):
+        with pytest.raises(scipy.linalg.LinAlgError):
+            _tridiag_solve(np.array([1.0, 1.0]), np.array([1.0]), 0.0, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        diag, off, rhs = np.array([2.0, 3.0, 4.0]), np.array([1.0, 1.0]), np.ones(3)
+        for args in (
+            (np.array([2.0, bad, 4.0]), off, 0.0, rhs),
+            (diag, np.array([1.0, bad]), 0.0, rhs),
+            (diag, off, bad, rhs),
+            (diag, off, 0.0, np.array([1.0, 1.0, bad])),
+            (np.array([bad]), np.array([]), 0.0, np.ones(1)),
+        ):
+            with pytest.raises(ValueError):
+                _tridiag_solve(*args)
+            with pytest.raises(ValueError):
+                _solve_banded_reference(*args)
+
+
 class TestModelPieces:
     def test_value_and_gradient_consistent(self):
         rng = np.random.default_rng(2)
@@ -190,6 +262,8 @@ class TestMinimizeModel:
         assert res.status == "exhausted"
         assert not res.condition_met
         assert res.k == 1
+        with pytest.raises(ValueError):
+            minimize_model(model, TerminationSpec("condition_3_1", 1e-8), max_dim=0)
 
     def test_zero_gradient_short_circuit(self):
         model = CubicModel(np.zeros(4), np.eye(4), 1.0)
@@ -200,8 +274,27 @@ class TestMinimizeModel:
         rng = np.random.default_rng(6)
         model = self._random_model(rng, 8)
         res = minimize_model(model, TerminationSpec("condition_3_1", 0.05))
-        assert res.hvp_count >= res.k
+        assert res.hvp_count == res.k
         assert res.k >= 1
+
+    def test_recurrence_residual_and_decrease_match_full_space(self):
+        # grad_norm and model_decrease come from the Lanczos recurrence; the
+        # explicit full-space gradient and model value are the oracle
+        rng = np.random.default_rng(9)
+        for i in range(120):
+            d = int(rng.integers(2, 30))
+            model = self._random_model(rng, d)
+            if i % 2:
+                model = CubicModel(model.g, _MatvecOnly(model.H.M), model.sigma,
+                                   f0=float(rng.standard_normal()))
+            kind = ("condition_3_1", "condition_4_1")[i % 3 == 0]
+            spec = TerminationSpec(kind, float(rng.choice([1e-8, 0.05, 0.2])))
+            res = minimize_model(model, spec, max_dim=int(rng.integers(1, d + 1)))
+            gn = np.linalg.norm(model.g)
+            full = np.linalg.norm(model_gradient(model, res.s))
+            assert abs(res.grad_norm - full) <= 1e-10 * gn
+            assert res.model_decrease == pytest.approx(
+                model.f0 - model_value(model, res.s), rel=1e-10, abs=1e-10)
 
     def test_operator_input(self):
         # matvec-only access: results agree with the dense path
@@ -209,14 +302,9 @@ class TestMinimizeModel:
         H = rng.standard_normal((5, 5))
         H = 0.5 * (H + H.T)
         g = rng.standard_normal(5)
-
-        class Op:
-            def matvec(self, v):
-                return H @ v
-
         spec = TerminationSpec("condition_3_1", 0.05)
         r1 = minimize_model(CubicModel(g, H, 1.0), spec)
-        r2 = minimize_model(CubicModel(g, Op(), 1.0), spec)
+        r2 = minimize_model(CubicModel(g, _MatvecOnly(H), 1.0), spec)
         assert np.allclose(r1.s, r2.s, rtol=1e-10, atol=1e-12)
 
 

@@ -60,6 +60,27 @@ class TestLemmaBounds:
         assert sample_size_uniform(0.5, 0.1, 1.0, 100, 10**6) == 487
         assert sample_size_nonuniform(0.5, 0.1, 4.0, 2.0, 0.01, 50, 80) == 80
 
+    def test_uniform_infinite_bound_selects_exact_mode(self):
+        # L^2 overflows to inf; the size is n, not an OverflowError
+        assert sample_size_uniform(0.5, 0.1, 1e200, 10, 100) == 100
+
+    def test_nonuniform_infinite_bound_selects_exact_mode(self):
+        # 1/p_min overflows to inf for a subnormal p_min
+        assert sample_size_nonuniform(0.5, 0.1, 1.0, 0.5, 5e-324, 10, 100) == 100
+
+    def test_finite_bounds_match_capped_lemma(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            eps, delta = rng.uniform(0.01, 0.99, size=2)
+            L = float(10.0 ** rng.uniform(-3, 3))
+            Lbar = L * float(rng.uniform(0.01, 1.0))
+            p_min = float(10.0 ** rng.uniform(-9, 0))
+            d, n = int(rng.integers(1, 1000)), int(10 ** rng.uniform(0, 7))
+            assert sample_size_uniform(eps, delta, L, d, n) == min(
+                lemma_uniform_bound(eps, delta, L, d), n)
+            assert sample_size_nonuniform(eps, delta, L, Lbar, p_min, d, n) == min(
+                lemma_nonuniform_bound(eps, delta, L, Lbar, p_min, d, n), n)
+
 
 class TestDistribution:
     def test_ridge_weights_proportional_to_row_norms(self):
