@@ -9,7 +9,6 @@ from .cubic import (
     SubproblemResult,
     TerminationSpec,
     minimize_model,
-    minimize_model_gd,
     model_gradient,
     model_value,
     solve_tridiagonal_cubic,
@@ -30,11 +29,8 @@ from .problems import (
 )
 from .saarc_driver import (
     EstimatingSequence,
-    SaarcState,
-    SacrResult,
     phase1_run,
     phase2_step,
-    psi_argmin,
     saarc_run,
     sacr_run,
 )
@@ -42,7 +38,6 @@ from .sampling import (
     SamplingPlan,
     SampleStream,
     SubsampledHessian,
-    build_subsampled_hessian,
     lemma_nonuniform_bound,
     lemma_uniform_bound,
     nonuniform_distribution,
@@ -51,24 +46,23 @@ from .sampling import (
     sample_size_uniform,
     spectral_error,
 )
-from .sarc_driver import SarcState, SolverConfig, TraceRecord, sarc_init, sarc_run, sarc_step
+from .sarc_driver import SolverConfig, SolverState, TraceRecord, sarc_init, sarc_run, sarc_step
 
 __all__ = [
     "EpochLedger",
     "BaselineResult", "acr_run", "agd_run", "cr_run", "lbfgs_run", "sgd_run",
     "BenchResult", "RunSpec", "read_trace", "run_benchmark", "write_trace",
     "CubicModel", "SubproblemResult", "TerminationSpec",
-    "minimize_model", "minimize_model_gd", "model_gradient", "model_value",
+    "minimize_model", "model_gradient", "model_value",
     "solve_tridiagonal_cubic",
     "LibsvmFormatError", "parse_libsvm", "synth_logistic",
     "Dataset", "DegenerateCurvatureError", "LipschitzInfo", "LossModel",
     "batch_gradient", "component_hvp", "curvature_vector", "dense_hessian",
     "full_gradient", "full_value", "lipschitz_bounds",
-    "EstimatingSequence", "SaarcState", "SacrResult",
-    "phase1_run", "phase2_step", "psi_argmin", "saarc_run", "sacr_run",
+    "EstimatingSequence", "phase1_run", "phase2_step", "saarc_run", "sacr_run",
     "SamplingPlan", "SampleStream", "SubsampledHessian",
-    "build_subsampled_hessian", "lemma_nonuniform_bound", "lemma_uniform_bound",
+    "lemma_nonuniform_bound", "lemma_uniform_bound",
     "nonuniform_distribution", "resolve_plan",
     "sample_size_nonuniform", "sample_size_uniform", "spectral_error",
-    "SarcState", "SolverConfig", "TraceRecord", "sarc_init", "sarc_run", "sarc_step",
+    "SolverConfig", "SolverState", "TraceRecord", "sarc_init", "sarc_run", "sarc_step",
 ]

@@ -18,16 +18,16 @@ import numpy as np
 
 from .accounting import EpochLedger
 from .problems import LossModel, batch_gradient, full_gradient, full_value, lipschitz_bounds
-from .saarc_driver import SaarcState, saarc_run
-from .sarc_driver import SarcState, SolverConfig, TraceRecord, sarc_run
+from .saarc_driver import saarc_run
+from .sarc_driver import SolverConfig, SolverState, TraceRecord, sarc_run
 
 
-def cr_run(model: LossModel, config: SolverConfig, x0, ledger=None) -> SarcState:
+def cr_run(model: LossModel, config: SolverConfig, x0, ledger=None) -> SolverState:
     """Cubic regularization with the exact Hessian: sample size n, zero shift."""
     return sarc_run(model, replace(config, exact_hessian=True), x0, ledger=ledger)
 
 
-def acr_run(model: LossModel, config: SolverConfig, x0, ledger=None) -> SaarcState:
+def acr_run(model: LossModel, config: SolverConfig, x0, ledger=None) -> SolverState:
     """Accelerated cubic regularization with the exact Hessian."""
     return saarc_run(model, replace(config, exact_hessian=True), x0, ledger=ledger)
 

@@ -18,13 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accounting import EpochLedger
-from .baselines import BaselineResult, acr_run, agd_run, cr_run, lbfgs_run, sgd_run
+from .baselines import acr_run, agd_run, cr_run, lbfgs_run, sgd_run
 from .data import parse_libsvm, synth_logistic
 from .problems import Dataset, LossModel
-from .saarc_driver import SaarcState, SacrResult, saarc_run, sacr_run
-from .sarc_driver import SarcState, SolverConfig, TraceRecord, sarc_run
+from .saarc_driver import saarc_run, sacr_run
+from .sarc_driver import SolverConfig, TraceRecord, sarc_run
 
-ALGORITHMS = ("sarc", "saarc", "sacr", "cr", "acr", "agd", "sgd", "lbfgs")
+# every solver returns a state or result with x, f, grad_norm, status, trace, ledger
+SOLVERS = {
+    "sarc": sarc_run, "saarc": saarc_run, "sacr": sacr_run, "cr": cr_run,
+    "acr": acr_run, "agd": agd_run, "sgd": sgd_run, "lbfgs": lbfgs_run,
+}
+ALGORITHMS = tuple(SOLVERS)
 
 CSV_HEADER = "iter,epochs,f,grad_norm,sigma,eps_i,sample_size,success,phase"
 
@@ -81,16 +86,6 @@ class BenchResult:
     raw: object  # the driver state or baseline result
 
 
-def _normalize(result) -> tuple:
-    if isinstance(result, SarcState):
-        return result.x, result.f, result.grad_norm, result.status, result.trace, result.ledger
-    if isinstance(result, SaarcState):
-        return result.x, result.f, result.grad_x_norm, result.status, result.trace, result.ledger
-    if isinstance(result, (SacrResult, BaselineResult)):
-        return result.x, result.f, result.grad_norm, result.status, result.trace, result.ledger
-    raise TypeError(f"unknown result type {type(result)!r}")
-
-
 def _exit_code(status: str) -> int:
     if status in ("converged", "stationary"):
         return 0
@@ -114,30 +109,14 @@ def run_benchmark(spec: RunSpec) -> BenchResult:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
     x0 = rng.standard_normal(dataset.d) * spec.x0_std
 
-    if spec.algo == "sarc":
-        result = sarc_run(model, config, x0)
-    elif spec.algo == "saarc":
-        result = saarc_run(model, config, x0)
-    elif spec.algo == "sacr":
-        result = sacr_run(model, config, x0)
-    elif spec.algo == "cr":
-        result = cr_run(model, config, x0)
-    elif spec.algo == "acr":
-        result = acr_run(model, config, x0)
-    elif spec.algo == "agd":
-        result = agd_run(model, config, x0)
-    elif spec.algo == "sgd":
-        result = sgd_run(model, config, x0, batch=spec.batch)
-    else:
-        result = lbfgs_run(model, config, x0)
-
-    x, f, gn, status, trace, ledger = _normalize(result)
-    code = _exit_code(status)
+    kwargs = {"batch": spec.batch} if spec.algo == "sgd" else {}
+    result = SOLVERS[spec.algo](model, config, x0, **kwargs)
     if spec.out is not None:
-        write_trace(spec.out, trace)
+        write_trace(spec.out, result.trace)
     return BenchResult(
-        spec=spec, x=x, f=f, grad_norm=gn, status=status,
-        trace=trace, ledger=ledger, exit_code=code, raw=result,
+        spec=spec, x=result.x, f=result.f, grad_norm=result.grad_norm, status=result.status,
+        trace=result.trace, ledger=result.ledger, exit_code=_exit_code(result.status),
+        raw=result,
     )
 
 

@@ -342,55 +342,3 @@ def minimize_model(
             q = w / beta
             continue
         return SubproblemResult(Q[:k].T @ y, decrease, res, k, k, status, condition_met=met)
-
-
-def minimize_model_gd(
-    model: CubicModel,
-    spec: TerminationSpec,
-    grad_f_norm: float | None = None,
-    max_iter: int = 5000,
-) -> SubproblemResult:
-    """Gradient-descent fallback backend behind the same interface.
-
-    Backtracking steps on m from s = 0; intended for positive semidefinite H,
-    where m is strongly convex and descent converges linearly. Used only when
-    configured; the Lanczos path is the default.
-    """
-    g = model.g
-    gn = float(np.linalg.norm(g))
-    d = g.shape[0]
-    if grad_f_norm is None:
-        grad_f_norm = gn
-    if gn == 0.0:
-        return SubproblemResult(np.zeros(d), 0.0, 0.0, 0, 0, "converged")
-
-    s = np.zeros(d)
-    hvps = 0
-    m_cur = model.f0
-    step = 1.0 / max(gn, 1.0)
-    for it in range(max_iter):
-        grad_m = model_gradient(model, s)
-        hvps += 1
-        res = float(np.linalg.norm(grad_m))
-        sn = float(np.linalg.norm(s))
-        if res <= spec.threshold(grad_f_norm, sn):
-            decrease = model.f0 - m_cur
-            return SubproblemResult(s, decrease, res, 0, hvps, "converged")
-        gg = res * res
-        while True:
-            cand = s - step * grad_m
-            m_cand = model_value(model, cand)
-            hvps += 1
-            if m_cand <= m_cur - 0.5 * step * gg or step < 1e-18:
-                break
-            step *= 0.5
-        s = cand
-        m_cur = m_cand
-        step *= 1.3  # cautious growth so the next trial starts near the last accepted step
-    decrease = model.f0 - m_cur
-    sn = float(np.linalg.norm(s))
-    res = float(np.linalg.norm(model_gradient(model, s)))
-    return SubproblemResult(
-        s, decrease, res, 0, hvps, "exhausted",
-        condition_met=res <= spec.threshold(grad_f_norm, sn),
-    )

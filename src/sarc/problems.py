@@ -23,17 +23,68 @@ reg_scale=1.0 gives lam*||x||^2 per component, reg_scale=0.5 gives
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 FAMILIES = ("ridge_least_squares", "reg_logistic", "nonconvex_svm", "pca_quadratic")
 
-# Families whose data term is fhat_j(a_j^T x) (generalized linear form).
-GLM_FAMILIES = ("ridge_least_squares", "reg_logistic", "nonconvex_svm")
 
-# max |d^2/dt^2 (1 - tanh t)| = 4/(3*sqrt(3)), attained where tanh^2 t = 1/3.
-SVM_CURVATURE_BOUND = 4.0 / (3.0 * np.sqrt(3.0))
+@dataclass(frozen=True)
+class GlmFamily:
+    """Data term fhat(t) of a generalized linear family at margins t, labels b.
+
+    `value`, `slope` and `curvature` map (t, b) elementwise to fhat, fhat' and
+    fhat''; `curvature_bound` is sup_t |fhat''(t)| for labels in {-1, +1}.
+    """
+
+    value: Callable
+    slope: Callable
+    curvature: Callable
+    curvature_bound: float
+
+
+def _tanh_curvature(t, b):
+    # d^2/dt^2 (1 - tanh(b t)) = 2 b^2 tanh(b t) sech^2(b t)
+    u = np.tanh(b * t)
+    return 2.0 * b * b * u * (1.0 - u * u)
+
+
+def _logistic_curvature(t, b):
+    # d^2/dt^2 ln(1+exp(-b t)) = b^2 s(1-s) with s = sigmoid(-b t)
+    s = expit(-b * t)
+    return b * b * s * (1.0 - s)
+
+
+def _tanh_slope(t, b):
+    u = np.tanh(b * t)
+    return -b * (1.0 - u * u)
+
+
+# Families whose data term is fhat_j(a_j^T x) (generalized linear form).
+GLM_FAMILIES = {
+    "ridge_least_squares": GlmFamily(
+        value=lambda t, b: np.square(t - b),
+        slope=lambda t, b: 2.0 * (t - b),
+        curvature=lambda t, b: np.full(np.shape(t), 2.0),
+        curvature_bound=2.0,
+    ),
+    "reg_logistic": GlmFamily(
+        value=lambda t, b: np.logaddexp(0.0, -b * t),
+        slope=lambda t, b: -b * expit(-b * t),
+        curvature=_logistic_curvature,
+        curvature_bound=0.25,
+    ),
+    "nonconvex_svm": GlmFamily(
+        value=lambda t, b: 1.0 - np.tanh(b * t),
+        slope=_tanh_slope,
+        curvature=_tanh_curvature,
+        # max |d^2/dt^2 (1 - tanh t)| = 4/(3*sqrt(3)), attained where tanh^2 t = 1/3
+        curvature_bound=4.0 / (3.0 * np.sqrt(3.0)),
+    ),
+}
 
 
 class DegenerateCurvatureError(ValueError):
@@ -152,21 +203,10 @@ def _margins(model: LossModel, x: np.ndarray) -> np.ndarray:
 
 def glm_curvature(family: str, t: np.ndarray, b: np.ndarray) -> np.ndarray:
     """fhat''(t) for a batch of margins t and labels b of a GLM family."""
+    if family not in GLM_FAMILIES:
+        raise ValueError(f"{family} is not of generalized linear form")
     t = np.asarray(t, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if family == "ridge_least_squares":
-        return np.full(t.shape, 2.0)
-    if family == "reg_logistic":
-        # d^2/dt^2 ln(1+exp(-b t)) = b^2 s(1-s) with s = sigmoid(-b t)
-        from scipy.special import expit
-
-        s = expit(-b * t)
-        return b * b * s * (1.0 - s)
-    if family == "nonconvex_svm":
-        # d^2/dt^2 (1 - tanh(b t)) = 2 b^2 tanh(b t) sech^2(b t)
-        u = np.tanh(b * t)
-        return 2.0 * b * b * u * (1.0 - u * u)
-    raise ValueError(f"{family} is not of generalized linear form")
+    return GLM_FAMILIES[family].curvature(t, np.asarray(b, dtype=float))
 
 
 def curvature_vector(model: LossModel, x: np.ndarray) -> np.ndarray:
@@ -181,40 +221,28 @@ def full_value(model: LossModel, x: np.ndarray) -> float:
     """f(x) = (1/n) sum_i f_i(x)."""
     x = _check_point(model, x)
     t = _margins(model, x)
-    b = model.dataset.b
-    reg = model.reg_scale * model.lam * float(x @ x)
-    if model.family == "ridge_least_squares":
-        r = t - b
-        return float(np.mean(r * r)) + reg
-    if model.family == "reg_logistic":
-        return float(np.mean(np.logaddexp(0.0, -b * t))) + reg
-    if model.family == "nonconvex_svm":
-        return float(np.mean(1.0 - np.tanh(b * t))) + reg
+    if model.is_glm():
+        reg = model.reg_scale * model.lam * float(x @ x)
+        return float(np.mean(GLM_FAMILIES[model.family].value(t, model.dataset.b))) + reg
     # pca_quadratic: (1/n) sum_j [0.5 x^T(mu I - a_j a_j^T)x] + c^T x
     mu = model.lam
     return float(0.5 * mu * (x @ x) - 0.5 * np.mean(t * t) + model.linear @ x)
 
 
+def _mean_gradient(model: LossModel, x: np.ndarray, A, b: np.ndarray) -> np.ndarray:
+    """Mean of the component gradients over the rows (A, b)."""
+    t = A @ x
+    m = A.shape[0]
+    if not model.is_glm():
+        return model.lam * x - (A.T @ t) / m + model.linear
+    w = GLM_FAMILIES[model.family].slope(t, b)
+    return (A.T @ w) / m + 2.0 * model.reg_scale * model.lam * x
+
+
 def full_gradient(model: LossModel, x: np.ndarray) -> np.ndarray:
     """Exact gradient of f (gradients are never sub-sampled)."""
     x = _check_point(model, x)
-    A, b = model.dataset.A, model.dataset.b
-    t = A @ x
-    n = model.n
-    reg_grad = 2.0 * model.reg_scale * model.lam * x
-    if model.family == "ridge_least_squares":
-        return (2.0 / n) * (A.T @ (t - b)) + reg_grad
-    if model.family == "reg_logistic":
-        from scipy.special import expit
-
-        w = -b * expit(-b * t)
-        return (A.T @ w) / n + reg_grad
-    if model.family == "nonconvex_svm":
-        u = np.tanh(b * t)
-        w = -b * (1.0 - u * u)
-        return (A.T @ w) / n + reg_grad
-    mu = model.lam
-    return mu * x - (A.T @ t) / n + model.linear
+    return _mean_gradient(model, x, model.dataset.A, model.dataset.b)
 
 
 def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -226,23 +254,7 @@ def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.n
         raise ValueError("batch must be non-empty")
     if indices.min() < 0 or indices.max() >= model.n:
         raise IndexError("batch index out of range")
-    A = model.dataset.A[indices]
-    b = model.dataset.b[indices]
-    t = A @ x
-    m = indices.size
-    if model.family == "pca_quadratic":
-        return model.lam * x - (A.T @ t) / m + model.linear
-    reg_grad = 2.0 * model.reg_scale * model.lam * x
-    if model.family == "ridge_least_squares":
-        w = 2.0 * (t - b)
-    elif model.family == "reg_logistic":
-        from scipy.special import expit
-
-        w = -b * expit(-b * t)
-    else:
-        u = np.tanh(b * t)
-        w = -b * (1.0 - u * u)
-    return (A.T @ w) / m + reg_grad
+    return _mean_gradient(model, x, model.dataset.A[indices], model.dataset.b[indices])
 
 
 def component_hvp(model: LossModel, j: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -267,17 +279,8 @@ def scalar_second_derivative(model: LossModel, j: int, x: np.ndarray) -> float:
     if not 0 <= j < model.n:
         raise IndexError(f"component index {j} out of range [0, {model.n})")
     x = _check_point(model, x)
-    t = float((model.dataset.A.getrow(j) @ x)[0])
-    b = float(model.dataset.b[j])
-    if model.family == "ridge_least_squares":
-        return 2.0
-    if model.family == "reg_logistic":
-        from scipy.special import expit
-
-        s = float(expit(-b * t))
-        return b * b * s * (1.0 - s)
-    u = np.tanh(b * t)
-    return float(2.0 * b * b * u * (1.0 - u * u))
+    t = (model.dataset.A.getrow(j) @ x)[0]
+    return float(GLM_FAMILIES[model.family].curvature(t, model.dataset.b[j]))
 
 
 @dataclass
@@ -286,7 +289,6 @@ class LipschitzInfo:
 
     L: float
     Lbar: float
-    source: str = "analytic"
     per_component: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -294,59 +296,20 @@ class LipschitzInfo:
             raise ValueError(f"need 0 < Lbar <= L < inf, got L={self.L}, Lbar={self.Lbar}")
 
 
-def lipschitz_bounds(model: LossModel, method: str = "analytic") -> LipschitzInfo:
-    """Gradient-Lipschitz bounds for the components.
+def lipschitz_bounds(model: LossModel) -> LipschitzInfo:
+    """Analytic gradient-Lipschitz bounds for the components (||.|| spectral).
 
-    Analytic bounds per family (||.|| spectral):
-      reg_logistic:        L_j = ||a_j||^2 / 4 + reg curvature
-      ridge_least_squares: L_j = 2 ||a_j||^2 + reg curvature
-      nonconvex_svm:       L_j = (4/(3 sqrt 3)) ||a_j||^2 + reg curvature
-      pca_quadratic:       L_j = max(mu, |mu - ||a_j||^2|)
-
-    `method="estimated"` runs power iteration on each component Hessian at a
-    random point instead (flagged source="estimated"); it exists for losses
-    added without analytic bounds and always terminates at its iteration cap.
+    GLM families: L_j = sup|fhat''| ||a_j||^2 + reg curvature, with sup|fhat''|
+    = 2 (ridge), 1/4 (logistic), 4/(3 sqrt 3) (nonconvex SVM).
+    pca_quadratic: L_j = max(mu, |mu - ||a_j||^2|).
     """
     sq = model.dataset.row_sq_norms()
-    if method == "analytic":
-        reg = model.reg_curvature()
-        if model.family == "reg_logistic":
-            per = 0.25 * sq + reg
-        elif model.family == "ridge_least_squares":
-            per = 2.0 * sq + reg
-        elif model.family == "nonconvex_svm":
-            per = SVM_CURVATURE_BOUND * sq + reg
-        else:
-            mu = model.lam
-            per = np.maximum(mu, np.abs(mu - sq))
-        source = "analytic"
-    elif method == "estimated":
-        per = _power_iteration_bounds(model)
-        source = "estimated"
+    if model.is_glm():
+        per = GLM_FAMILIES[model.family].curvature_bound * sq + model.reg_curvature()
     else:
-        raise ValueError(f"unknown method {method!r}")
-    L = float(np.max(per))
-    Lbar = float(np.mean(per))
-    return LipschitzInfo(L=L, Lbar=Lbar, source=source, per_component=per)
-
-
-def _power_iteration_bounds(model: LossModel, iters: int = 50, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(model.d)
-    per = np.empty(model.n)
-    for j in range(model.n):
-        v = rng.standard_normal(model.d)
-        v /= np.linalg.norm(v)
-        lam_est = 0.0
-        for _ in range(iters):
-            w = component_hvp(model, j, x, v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            lam_est = nw
-            v = w / nw
-        per[j] = lam_est
-    return per
+        mu = model.lam
+        per = np.maximum(mu, np.abs(mu - sq))
+    return LipschitzInfo(L=float(np.max(per)), Lbar=float(np.mean(per)), per_component=per)
 
 
 def dense_hessian(model: LossModel, x: np.ndarray, dense_cap: int = 400) -> np.ndarray:

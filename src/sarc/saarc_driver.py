@@ -19,22 +19,29 @@ which is the tolerance of the operator actually built at y_l; that gradient
 doubles as the next subproblem's linear term, so it is charged once.
 
 The hybrid runs this scheme until the relative progress of a successful step
-drops to 0.1, then hands the iterate to the non-accelerated driver (sigma
-carried over, eps re-initialized) for the local phase.
+drops to 0.1, then runs the non-accelerated driver on the same state for the
+local phase (phase "sarc": sigma carried over, eps re-initialized, Hessian
+rebuilt at the anchor).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .accounting import EpochLedger
-from .cubic import CubicModel, TerminationSpec
-from .problems import LipschitzInfo, LossModel, full_gradient, full_value, lipschitz_bounds
-from .sampling import SampleStream, SubsampledHessian, build_subsampled_hessian, resolve_plan
-from .sarc_driver import SarcState, SolverConfig, TraceRecord, _subproblem, sarc_step
+from .problems import LossModel, full_gradient, full_value
+from .sampling import resolve_plan  # noqa: F401  perfbench/tracing.py patches it here
+from .sarc_driver import (
+    SolverConfig,
+    SolverState,
+    _build,
+    _record,
+    _sarc_steps,
+    _subproblem,
+    sarc_init,
+)
 
 
 @dataclass
@@ -43,7 +50,6 @@ class EstimatingSequence:
     varsigma: float
     lin_const: float
     lin_grad: np.ndarray
-    l: int = 1
 
     def psi_value(self, z: np.ndarray) -> float:
         r = np.linalg.norm(z - self.xbar1)
@@ -63,80 +69,6 @@ class EstimatingSequence:
         # coeff * (f(x) + (z - x).grad) absorbed into the linear representation
         self.lin_const += coeff * (f - float(x @ grad))
         self.lin_grad = self.lin_grad + coeff * grad
-
-
-@dataclass
-class SaarcState:
-    x: np.ndarray  # anchor iterate xbar_l
-    f: float
-    grad_x: np.ndarray
-    grad_x_norm: float
-    sigma: float
-    eps_i: float
-    H: SubsampledHessian | None
-    trace: list[TraceRecord]
-    ledger: EpochLedger
-    stream: SampleStream
-    lip: LipschitzInfo
-    phase: str = "one"
-    y: np.ndarray | None = None
-    grad_y: np.ndarray | None = None
-    grad_y_norm: float = 0.0
-    seq: EstimatingSequence | None = None
-    l: int = 0
-    T1: int = 0
-    T2: int = 0
-    T3: int = 0
-    iteration: int = 0
-    terminal: bool = False
-    status: str = "running"
-    switch_pending: bool = False
-    probe_rng: np.random.Generator | None = None
-    t0: float = field(default_factory=time.perf_counter)
-
-
-def _per_iter_delta(config: SolverConfig) -> float:
-    # union bound over the O(eps^{-1/3}) iteration budget
-    return config.delta * config.eps ** (1.0 / 3.0)
-
-
-def _build_at(state: SaarcState, model: LossModel, config: SolverConfig, point: np.ndarray):
-    plan = resolve_plan(
-        model,
-        point,
-        state.eps_i,
-        _per_iter_delta(config),
-        state.lip,
-        scheme=config.scheme,
-        fixed_size=model.dataset.n if config.exact_hessian else config.fixed_sample_size,
-    )
-    shift = 0.0 if config.exact_hessian else state.eps_i / 2.0
-    state.H = build_subsampled_hessian(model, point, plan, state.stream, shift=shift)
-    state.ledger.add_hessian_build(plan.size)
-
-
-def _record(state: SaarcState, *, success: bool | None) -> TraceRecord:
-    rec = TraceRecord(
-        iteration=state.iteration,
-        f=state.f,
-        grad_norm=state.grad_x_norm,
-        sigma=state.sigma,
-        eps_i=state.eps_i,
-        sample_size=state.H.sample_size if state.H is not None else None,
-        success=success,
-        epochs=state.ledger.epochs,
-        wall_time=time.perf_counter() - state.t0,
-        phase=state.phase,
-        l=state.l if state.phase == "two" else None,
-        varsigma=state.seq.varsigma if state.seq is not None else None,
-        t3=state.T3 if state.phase == "two" else None,
-    )
-    state.trace.append(rec)
-    return rec
-
-
-def psi_argmin(seq: EstimatingSequence) -> np.ndarray:
-    return seq.argmin()
 
 
 def grow_varsigma(seq: EstimatingSequence, threshold: float, gamma3: float,
@@ -166,7 +98,7 @@ def relative_progress_trigger(f_old: float, f_new: float) -> bool:
     return abs(f_new - f_old) <= 0.1 * (1.0 + abs(f_old))
 
 
-def _audit_sequence(state: SaarcState, config: SolverConfig, z: np.ndarray, threshold: float):
+def _audit_sequence(state: SolverState, config: SolverConfig, z: np.ndarray, threshold: float):
     """Numeric guards on the estimating sequence at every successful step."""
     seq = state.seq
     psi_z = seq.psi_value(z)
@@ -200,39 +132,14 @@ def phase1_run(
     x0: np.ndarray,
     ledger: EpochLedger | None = None,
     progress_hook=None,
-) -> SaarcState:
+) -> SolverState:
     """Accept/reject from x0 with one Hessian until m - f(x+s) > 0."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape[0] != model.dataset.d:
-        raise ValueError("x0 dimension mismatch")
-    ledger = ledger if ledger is not None else EpochLedger(model.dataset.n)
-    stream = SampleStream(config.seed)
-    lip = lipschitz_bounds(model)
-
-    grad = full_gradient(model, x0)
-    ledger.add_gradient_pass()
-    gn = float(np.linalg.norm(grad))
-    f0 = full_value(model, x0)
-
-    state = SaarcState(
-        x=x0.copy(), f=f0, grad_x=grad, grad_x_norm=gn,
-        sigma=config.sigma0, eps_i=min(1.0, (1.0 - config.kappa_theta) * gn / 3.0),
-        H=None, trace=[], ledger=ledger, stream=stream, lip=lip,
-        probe_rng=np.random.default_rng(np.random.Philox(key=config.seed + 0x5EED)),
-    )
-    if gn <= config.grad_tol:
-        state.terminal = True
-        state.status = "stationary" if gn == 0.0 else "converged"
-        _record(state, success=None)
+    state = sarc_init(model, config, x0, ledger=ledger, phase="one")
+    if state.terminal:
         return state
 
-    _build_at(state, model, config, x0)
-    _record(state, success=None)
-    spec = TerminationSpec("condition_4_1", config.kappa_theta)
-
     while state.iteration < config.max_iters:
-        cubic = CubicModel(state.grad_x, state.H, state.sigma, state.f)
-        sub = _subproblem(config)(cubic, spec, grad_f_norm=state.grad_x_norm)
+        sub = _subproblem(state, config, "condition_4_1", state.grad, state.grad_norm)
         f_trial = full_value(model, state.x + sub.s)
         overestimate = (state.f - sub.model_decrease) - f_trial  # m(s) - f(x+s)
         state.iteration += 1
@@ -241,16 +148,15 @@ def phase1_run(
             state.x = state.x + sub.s
             f_old = state.f
             state.f = f_trial
-            state.grad_x = full_gradient(model, state.x)
+            state.grad = full_gradient(model, state.x)
             state.ledger.add_gradient_pass()
-            state.grad_x_norm = float(np.linalg.norm(state.grad_x))
+            state.grad_norm = float(np.linalg.norm(state.grad))
             _record(state, success=True)
-            if state.grad_x_norm <= config.grad_tol:
+            if state.grad_norm <= config.grad_tol:
                 state.terminal = True
                 state.status = "converged"
                 return state
             if progress_hook is not None and progress_hook(f_old, state.f):
-                state.switch_pending = True
                 state.status = "switch"
                 return state
             varsigma0 = config.varsigma0 if config.varsigma0 is not None else config.sigma0
@@ -260,10 +166,10 @@ def phase1_run(
             )
             # z1 = xbar1, so y1 = 1/4 xbar1 + 3/4 z1 is the anchor itself
             state.y = state.x.copy()
-            state.grad_y = state.grad_x
-            state.grad_y_norm = state.grad_x_norm
-            state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_x_norm / 3.0)
-            _build_at(state, model, config, state.y)
+            state.grad_y = state.grad
+            state.grad_y_norm = state.grad_norm
+            state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
+            _build(state, model, config, state.y)
             state.phase = "two"
             state.l = 1
             return state
@@ -275,17 +181,15 @@ def phase1_run(
 
 
 def phase2_step(
-    state: SaarcState,
+    state: SolverState,
     model: LossModel,
     config: SolverConfig,
     progress_hook=None,
-) -> SaarcState:
+) -> SolverState:
     """One accelerated iteration at the extrapolation point y_l."""
     if state.terminal or state.phase != "two":
         raise RuntimeError("phase2_step requires a live phase-two state")
-    spec = TerminationSpec("condition_4_1", config.kappa_theta)
-    cubic = CubicModel(state.grad_y, state.H, state.sigma, 0.0)
-    sub = _subproblem(config)(cubic, spec, grad_f_norm=state.grad_y_norm)
+    sub = _subproblem(state, config, "condition_4_1", state.grad_y, state.grad_y_norm)
     s = sub.s
     sn = float(np.linalg.norm(s))
     state.iteration += 1
@@ -312,7 +216,6 @@ def phase2_step(
     l_new = state.l + 1
     seq = state.seq
     seq.add_point(x_trial, f_new, grad_trial, l_new * (l_new + 1) / 2.0)
-    seq.l = l_new
     threshold = l_new * (l_new + 1) * (l_new + 2) / 6.0 * f_new
     z, growths = grow_varsigma(seq, threshold, config.gamma3)
     state.T3 += growths
@@ -320,17 +223,16 @@ def phase2_step(
 
     state.x = x_trial
     state.f = f_new
-    state.grad_x = grad_trial
-    state.grad_x_norm = float(np.linalg.norm(grad_trial))
+    state.grad = grad_trial
+    state.grad_norm = float(np.linalg.norm(grad_trial))
     state.l = l_new
 
-    if state.grad_x_norm <= config.grad_tol:
+    if state.grad_norm <= config.grad_tol:
         state.terminal = True
         state.status = "converged"
         _record(state, success=True)
         return state
     if progress_hook is not None and progress_hook(f_old, f_new):
-        state.switch_pending = True
         state.status = "switch"
         _record(state, success=True)
         return state
@@ -346,13 +248,13 @@ def phase2_step(
         if f_y <= state.f:
             state.x = state.y
             state.f = f_y
-            state.grad_x = state.grad_y
-            state.grad_x_norm = state.grad_y_norm
+            state.grad = state.grad_y
+            state.grad_norm = state.grad_y_norm
         state.terminal = True
         state.status = "converged"
         _record(state, success=True)
         return state
-    _build_at(state, model, config, state.y)
+    _build(state, model, config, state.y)
     _record(state, success=True)
     return state
 
@@ -363,32 +265,14 @@ def saarc_run(
     x0: np.ndarray,
     ledger: EpochLedger | None = None,
     progress_hook=None,
-) -> SaarcState:
+) -> SolverState:
     state = phase1_run(model, config, x0, ledger=ledger, progress_hook=progress_hook)
-    while (
-        not state.terminal
-        and not state.switch_pending
-        and state.phase == "two"
-        and state.iteration < config.max_iters
-    ):
+    # "running" after phase one means phase two is live
+    while state.status == "running" and state.iteration < config.max_iters:
         phase2_step(state, model, config, progress_hook=progress_hook)
-    if not state.terminal and state.status in ("running",):
+    if state.status == "running":
         state.status = "max_iters"
     return state
-
-
-@dataclass
-class SacrResult:
-    x: np.ndarray
-    f: float
-    grad_norm: float
-    status: str
-    trace: list[TraceRecord]
-    ledger: EpochLedger
-    switched: bool
-    switch_iteration: int | None
-    saarc: SaarcState
-    sarc: SarcState | None
 
 
 def sacr_run(
@@ -396,31 +280,19 @@ def sacr_run(
     config: SolverConfig,
     x0: np.ndarray,
     ledger: EpochLedger | None = None,
-) -> SacrResult:
-    """Accelerated scheme until relative progress <= 0.1, then local phase."""
+) -> SolverState:
+    """Accelerated scheme until relative progress <= 0.1, then local phase.
+
+    `switch_iteration` is the iteration of the switch, None when the run
+    ended before it.
+    """
     state = saarc_run(model, config, x0, ledger=ledger,
                       progress_hook=relative_progress_trigger)
-    if not state.switch_pending:
-        return SacrResult(
-            x=state.x, f=state.f, grad_norm=state.grad_x_norm, status=state.status,
-            trace=state.trace, ledger=state.ledger, switched=False,
-            switch_iteration=None, saarc=state, sarc=None,
-        )
-
-    switch_iter = state.iteration
-    local = SarcState(
-        x=state.x.copy(), f=state.f, grad=state.grad_x,
-        grad_norm=state.grad_x_norm, sigma=state.sigma,
-        eps_i=min(1.0, (1.0 - config.kappa_theta) * state.grad_x_norm / 3.0),
-        H=None, trace=state.trace, ledger=state.ledger, stream=state.stream,
-        lip=state.lip, iteration=state.iteration, needs_rebuild=True, t0=state.t0,
-    )
-    while not local.terminal and local.iteration < config.max_iters:
-        sarc_step(local, model, config)
-    if not local.terminal:
-        local.status = "max_iters"
-    return SacrResult(
-        x=local.x, f=local.f, grad_norm=local.grad_norm, status=local.status,
-        trace=local.trace, ledger=local.ledger, switched=True,
-        switch_iteration=switch_iter, saarc=state, sarc=local,
-    )
+    if state.status != "switch":
+        return state
+    state.switch_iteration = state.iteration
+    state.phase = "sarc"
+    state.status = "running"
+    state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
+    state.needs_rebuild = True
+    return _sarc_steps(state, model, config)

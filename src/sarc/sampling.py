@@ -56,29 +56,30 @@ def _nonuniform_bound(
     return body * math.log(2.0 * d / per_iter_delta)
 
 
-def _capped(bound: float, n: int) -> int:
-    # a bound at or past n, including +inf (1/p_min overflows for subnormal
-    # p_min, L^2 for huge L), selects exact mode; it is never rounded to int
-    return int(math.ceil(bound)) if bound < n else n
+def _ceil(bound: float) -> int | float:
+    # +inf (1/p_min overflows for subnormal p_min, L^2 for huge L) has no
+    # integer ceiling; it stays math.inf, and capping it at n selects exact mode
+    return math.ceil(bound) if math.isfinite(bound) else math.inf
 
 
-def lemma_uniform_bound(eps: float, per_iter_delta: float, L: float, d: int) -> int:
-    """Uncapped uniform sample-size bound (the concentration tests need the raw value)."""
-    return int(math.ceil(_uniform_bound(eps, per_iter_delta, L, d)))
+def lemma_uniform_bound(eps: float, per_iter_delta: float, L: float, d: int) -> int | float:
+    """Uncapped uniform sample-size bound (the concentration tests need the raw
+    value); math.inf when the bound overflows."""
+    return _ceil(_uniform_bound(eps, per_iter_delta, L, d))
 
 
 def lemma_nonuniform_bound(
     eps: float, per_iter_delta: float, L: float, Lbar: float, p_min: float, d: int, n: int
-) -> int:
-    """Uncapped non-uniform sample-size bound."""
-    return int(math.ceil(_nonuniform_bound(eps, per_iter_delta, L, Lbar, p_min, d, n)))
+) -> int | float:
+    """Uncapped non-uniform sample-size bound; math.inf when it overflows."""
+    return _ceil(_nonuniform_bound(eps, per_iter_delta, L, Lbar, p_min, d, n))
 
 
 def sample_size_uniform(eps: float, per_iter_delta: float, L: float, d: int, n: int) -> int:
     """Uniform-sampling size, capped at n (cap triggers exact-Hessian mode)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _capped(_uniform_bound(eps, per_iter_delta, L, d), n)
+    return min(lemma_uniform_bound(eps, per_iter_delta, L, d), n)
 
 
 def sample_size_nonuniform(
@@ -87,7 +88,7 @@ def sample_size_nonuniform(
     """Non-uniform-sampling size, capped at n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _capped(_nonuniform_bound(eps, per_iter_delta, L, Lbar, p_min, d, n), n)
+    return min(lemma_nonuniform_bound(eps, per_iter_delta, L, Lbar, p_min, d, n), n)
 
 
 def nonuniform_distribution(model: LossModel, x: np.ndarray):
@@ -308,17 +309,6 @@ class SubsampledHessian:
             H = self._A_S.T @ (self._coeffs[:, None] * self._A_S)
         H += self._diag * np.eye(self.d)
         return 0.5 * (H + H.T)
-
-
-def build_subsampled_hessian(
-    model: LossModel,
-    x: np.ndarray,
-    plan: SamplingPlan,
-    stream: SampleStream | None = None,
-    shift: float | None = None,
-) -> SubsampledHessian:
-    """Draw plan.size indices and assemble the shifted operator."""
-    return SubsampledHessian(model, x, plan, stream=stream, shift=shift)
 
 
 def spectral_error(op: SubsampledHessian, model: LossModel, x: np.ndarray,

@@ -13,25 +13,31 @@ The Hessian rebuild is lazy: a fresh operator is sampled at the top of the
 next step only if x moved, which charges nothing extra on the terminal
 success. Epochs are charged through the shared ledger: one full gradient per
 accepted step, the sample size once per build, function values free.
+
+The run state, the Hessian build, the subproblem call and the trace record
+defined here are shared with the accelerated and hybrid drivers.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .accounting import EpochLedger
-from .cubic import CubicModel, TerminationSpec, minimize_model, minimize_model_gd
+from .cubic import CubicModel, SubproblemResult, TerminationSpec, minimize_model
 from .problems import LipschitzInfo, LossModel, full_gradient, full_value, lipschitz_bounds
-from .sampling import SampleStream, SubsampledHessian, build_subsampled_hessian, resolve_plan
+from .sampling import SampleStream, SubsampledHessian, resolve_plan
+
+if TYPE_CHECKING:
+    from .saarc_driver import EstimatingSequence
 
 
 @dataclass
 class SolverConfig:
     gamma1: float = 2.0
-    gamma2: float = 4.0
     gamma3: float = 2.0
     eta: float = 0.1
     sigma_min: float = 0.1
@@ -46,12 +52,11 @@ class SolverConfig:
     fixed_sample_size: int | None = None
     varsigma0: float | None = None  # estimating-sequence weight; defaults to sigma0
     psi_probes: bool = False  # sample the cubic-growth inequality at 20 points per success
-    subproblem_backend: str = "lanczos"
     seed: int = 0
 
     def __post_init__(self):
-        if not self.gamma2 > self.gamma1 > 1.0:
-            raise ValueError("need gamma2 > gamma1 > 1")
+        if self.gamma1 <= 1.0:
+            raise ValueError("gamma1 must be > 1")
         if self.gamma3 <= 1.0:
             raise ValueError("gamma3 must be > 1")
         if not 0.0 < self.eta < 1.0:
@@ -73,8 +78,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.grad_tol < 0.0:
             raise ValueError("grad_tol must be >= 0")
-        if self.subproblem_backend not in ("lanczos", "gd"):
-            raise ValueError(f"unknown subproblem backend {self.subproblem_backend!r}")
         if self.varsigma0 is not None and self.varsigma0 <= 0.0:
             raise ValueError("varsigma0 must be > 0")
 
@@ -97,7 +100,16 @@ class TraceRecord:
 
 
 @dataclass
-class SarcState:
+class SolverState:
+    """The run state of every cubic driver.
+
+    `phase` is "sarc" for the non-accelerated driver, "one" and "two" for the
+    phases of the accelerated one; the hybrid flips "one"/"two" to "sarc" at
+    its switch. `x`, `f`, `grad`, `grad_norm` always describe the iterate (the
+    anchor xbar_l in phase two); `y`, `grad_y`, `grad_y_norm`, `seq`, `l` and
+    the T counters belong to the accelerated phases.
+    """
+
     x: np.ndarray
     f: float
     grad: np.ndarray
@@ -109,27 +121,36 @@ class SarcState:
     ledger: EpochLedger
     stream: SampleStream
     lip: LipschitzInfo
+    phase: str = "sarc"
     iteration: int = 0
     needs_rebuild: bool = False
     terminal: bool = False
     status: str = "running"
     psd_violations: int = 0
+    y: np.ndarray | None = None
+    grad_y: np.ndarray | None = None
+    grad_y_norm: float = 0.0
+    seq: EstimatingSequence | None = None
+    l: int = 0
+    T1: int = 0
+    T2: int = 0
+    T3: int = 0
+    switch_iteration: int | None = None  # hybrid only: iteration of the switch to "sarc"
+    probe_rng: np.random.Generator | None = None
     t0: float = field(default_factory=time.perf_counter)
 
 
-def _per_iter_delta(config: SolverConfig) -> float:
-    # union bound over the O(eps^{-1/2}) iteration budget
-    return config.delta * config.eps**0.5
-
-
-def _subproblem(config: SolverConfig):
-    return minimize_model_gd if config.subproblem_backend == "gd" else minimize_model
-
-
-def _build(state: SarcState, model: LossModel, config: SolverConfig, per_iter_delta: float):
+def _build(state: SolverState, model: LossModel, config: SolverConfig, point: np.ndarray):
+    """Sample a fresh Hessian operator at `point` and charge its build."""
+    # union bound over the O(eps^{-1/2}) (sarc) or O(eps^{-1/3}) (accelerated)
+    # iteration budget
+    if state.phase == "sarc":
+        per_iter_delta = config.delta * config.eps**0.5
+    else:
+        per_iter_delta = config.delta * config.eps ** (1.0 / 3.0)
     plan = resolve_plan(
         model,
-        state.x,
+        point,
         state.eps_i,
         per_iter_delta,
         state.lip,
@@ -137,12 +158,24 @@ def _build(state: SarcState, model: LossModel, config: SolverConfig, per_iter_de
         fixed_size=model.dataset.n if config.exact_hessian else config.fixed_sample_size,
     )
     shift = 0.0 if config.exact_hessian else state.eps_i / 2.0
-    state.H = build_subsampled_hessian(model, state.x, plan, state.stream, shift=shift)
+    state.H = SubsampledHessian(model, point, plan, state.stream, shift=shift)
     state.ledger.add_hessian_build(plan.size)
     state.needs_rebuild = False
 
 
-def _record(state: SarcState, *, success: bool | None, phase: str = "sarc") -> TraceRecord:
+def _subproblem(state: SolverState, config: SolverConfig, kind: str,
+                g: np.ndarray, g_norm: float) -> SubproblemResult:
+    """Minimize the cubic model with gradient g, the current operator and sigma.
+
+    Every driver's subproblem goes through this module's `minimize_model`,
+    the name perfbench/tracing.py patches to count and time subproblems.
+    """
+    cubic = CubicModel(g, state.H, state.sigma)
+    return minimize_model(cubic, TerminationSpec(kind, config.kappa_theta), grad_f_norm=g_norm)
+
+
+def _record(state: SolverState, *, success: bool | None) -> TraceRecord:
+    two = state.phase == "two"
     rec = TraceRecord(
         iteration=state.iteration,
         f=state.f,
@@ -153,7 +186,10 @@ def _record(state: SarcState, *, success: bool | None, phase: str = "sarc") -> T
         success=success,
         epochs=state.ledger.epochs,
         wall_time=time.perf_counter() - state.t0,
-        phase=phase,
+        phase=state.phase,
+        l=state.l if two else None,
+        varsigma=state.seq.varsigma if two else None,
+        t3=state.T3 if two else None,
     )
     state.trace.append(rec)
     return rec
@@ -164,16 +200,17 @@ def sarc_init(
     config: SolverConfig,
     x0: np.ndarray,
     ledger: EpochLedger | None = None,
-    stream: SampleStream | None = None,
-    lip: LipschitzInfo | None = None,
-) -> SarcState:
-    """Evaluate the start point, set eps0, and build the first Hessian."""
+    phase: str = "sarc",
+) -> SolverState:
+    """Evaluate the start point, set eps0, and build the first Hessian there.
+
+    `phase` is "sarc" for the adaptive driver and "one" for the accelerated
+    ones; it selects the sampling failure budget and the trace's phase column.
+    """
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape[0] != model.dataset.d:
         raise ValueError("x0 dimension mismatch")
     ledger = ledger if ledger is not None else EpochLedger(model.dataset.n)
-    stream = stream if stream is not None else SampleStream(config.seed)
-    lip = lip if lip is not None else lipschitz_bounds(model)
 
     grad = full_gradient(model, x0)
     ledger.add_gradient_pass()
@@ -181,31 +218,29 @@ def sarc_init(
     f0 = full_value(model, x0)
     eps0 = min(1.0, (1.0 - config.kappa_theta) * gn / 3.0)
 
-    state = SarcState(
+    state = SolverState(
         x=x0.copy(), f=f0, grad=grad, grad_norm=gn,
-        sigma=config.sigma0, eps_i=eps0, H=None,
-        trace=[], ledger=ledger, stream=stream, lip=lip,
+        sigma=config.sigma0, eps_i=eps0, H=None, trace=[], ledger=ledger,
+        stream=SampleStream(config.seed), lip=lipschitz_bounds(model), phase=phase,
+        probe_rng=np.random.default_rng(np.random.Philox(key=config.seed + 0x5EED)),
     )
     if gn <= config.grad_tol:
         state.terminal = True
         state.status = "stationary" if gn == 0.0 else "converged"
-        _record(state, success=None)
-        return state
-    _build(state, model, config, _per_iter_delta(config))
+    else:
+        _build(state, model, config, x0)
     _record(state, success=None)
     return state
 
 
-def sarc_step(state: SarcState, model: LossModel, config: SolverConfig) -> SarcState:
+def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> SolverState:
     """One accept/reject iteration; appends exactly one trace record."""
     if state.terminal:
         raise RuntimeError("step on a terminal state")
     if state.needs_rebuild:
-        _build(state, model, config, _per_iter_delta(config))
+        _build(state, model, config, state.x)
 
-    cubic = CubicModel(state.grad, state.H, state.sigma, state.f)
-    spec = TerminationSpec("condition_3_1", config.kappa_theta)
-    sub = _subproblem(config)(cubic, spec, grad_f_norm=state.grad_norm)
+    sub = _subproblem(state, config, "condition_3_1", state.grad, state.grad_norm)
     s = sub.s
     f_trial = full_value(model, state.x + s)
     predicted = sub.model_decrease  # f(x) - m(s)
@@ -237,15 +272,19 @@ def sarc_step(state: SarcState, model: LossModel, config: SolverConfig) -> SarcS
     return state
 
 
-def sarc_run(
-    model: LossModel,
-    config: SolverConfig,
-    x0: np.ndarray,
-    ledger: EpochLedger | None = None,
-) -> SarcState:
-    state = sarc_init(model, config, x0, ledger=ledger)
+def _sarc_steps(state: SolverState, model: LossModel, config: SolverConfig) -> SolverState:
+    """Run sarc_step until a terminal status or the iteration cap."""
     while not state.terminal and state.iteration < config.max_iters:
         sarc_step(state, model, config)
     if not state.terminal:
         state.status = "max_iters"
     return state
+
+
+def sarc_run(
+    model: LossModel,
+    config: SolverConfig,
+    x0: np.ndarray,
+    ledger: EpochLedger | None = None,
+) -> SolverState:
+    return _sarc_steps(sarc_init(model, config, x0, ledger=ledger), model, config)

@@ -10,7 +10,6 @@ from sarc.cubic import (
     TerminationSpec,
     _tridiag_solve,
     minimize_model,
-    minimize_model_gd,
     model_gradient,
     model_value,
     solve_tridiagonal_cubic,
@@ -307,18 +306,3 @@ class TestMinimizeModel:
         r2 = minimize_model(CubicModel(g, _MatvecOnly(H), 1.0), spec)
         assert np.allclose(r1.s, r2.s, rtol=1e-10, atol=1e-12)
 
-
-class TestGradientDescentBackend:
-    def test_matches_oracle_on_psd(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            d = int(rng.integers(2, 5))
-            H = rng.standard_normal((d, d))
-            H = H @ H.T / d + 0.2 * np.eye(d)
-            g = rng.standard_normal(d)
-            model = CubicModel(g, H, 1.0)
-            res = minimize_model_gd(model, TerminationSpec("condition_3_1", 1e-3))
-            s_star, _ = cubic_global_min(H, g, 1.0)
-            v_star = model_value(model, s_star)
-            assert model_value(model, res.s) <= v_star + 1e-4 * max(1.0, abs(v_star))
-            assert res.status == "converged"

@@ -1,0 +1,147 @@
+"""Golden traces: seeded runs hash to digests pinned from a known-good build.
+
+Each spec's 9-column CSV trace is hashed exactly as `write_trace` emits it,
+and a second hash covers the accelerated-phase columns that the CSV leaves
+out: (phase, l, varsigma, t3) per row. A refactor of the drivers, the loss
+families or the sampling layer must leave every digest unchanged. The specs
+are rerun once in a child process with OPENBLAS_NUM_THREADS=2 to check that
+the traces do not depend on the BLAS thread count.
+
+    python tests/test_golden.py   # prints the current digests as JSON
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from sarc.bench import ALGORITHMS, CSV_HEADER, RunSpec, run_benchmark, trace_rows
+from sarc.problems import Dataset, LossModel
+from sarc.sarc_driver import SolverConfig, sarc_run
+
+SYNTH = (2000, 10, 0, 4.0)
+
+
+def _bench(algo, scheme="uniform", **overrides):
+    def run():
+        spec = RunSpec(algo=algo, synth=SYNTH, x0_std=1.0, max_iters=60, scheme=scheme,
+                       config_overrides=overrides)
+        return run_benchmark(spec).trace
+    return run
+
+
+def _criterion_8_pca():
+    ds = Dataset.from_dense(np.zeros((500, 6)), np.zeros(500))
+    model = LossModel("pca_quadratic", 1.0, ds)
+    cfg = SolverConfig(fixed_sample_size=50, max_iters=10, grad_tol=0.0, seed=0)
+    return sarc_run(model, cfg, np.full(6, 1.5)).trace
+
+
+SPECS = {f"bench_{algo}": _bench(algo) for algo in ALGORITHMS}
+SPECS.update({
+    f"sampled_{algo}_{scheme}": _bench(algo, scheme, fixed_sample_size=300)
+    for algo in ("sarc", "saarc", "sacr")
+    for scheme in ("uniform", "nonuniform")
+})
+SPECS["criterion_8_pca"] = _criterion_8_pca
+
+GOLDEN = {
+    "bench_sarc": [
+        "132aa432217fae2828d61053ad7da0bfafb1ee1e6111c7858d3406fff864a2c7",
+        "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
+    ],
+    "bench_saarc": [
+        "933a9366480bdf63cbd45aa4f205d83f3f475c82944a1e9972f77af4c396940d",
+        "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
+    ],
+    "bench_sacr": [
+        "34b471483f8c87ee82de50297c05de157cad6d90157c6d8f845fc7b6e7dd42c8",
+        "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
+    ],
+    "bench_cr": [
+        "4b70cedf77773f1a36523c230d5cc06d019a44a70bac5073535bbce4cf4a57b2",
+        "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
+    ],
+    "bench_acr": [
+        "4d5b97949ad3fdc369b65629f24948299f41ecdc5d9e4b7b71bd77ca39b7a194",
+        "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
+    ],
+    "bench_agd": [
+        "7c26392d08f00c4a52442850b835f7aafc8595557871a9ff6c1c72d32b477110",
+        "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
+    ],
+    "bench_sgd": [
+        "ffc13a8775734bb48d28626f2289614da8a1d394334241e318c76a262d2cffd8",
+        "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
+    ],
+    "bench_lbfgs": [
+        "5661965d73ea9df8f98230a09e7fbbad1a3698d184b7c65a586e70e97e9420d4",
+        "36fe2eb7a4ea81851c6cdbb29a5413093882c25b643b4e9cb6943963e7602689",
+    ],
+    "sampled_sarc_uniform": [
+        "3f2dabd10eb2bd1b941dca2cea627b01a471a7515b5321d15e1d268726b6a123",
+        "33b5743e4952ff74f7462e9b1715c058df9e07583db110110c0cc3f4f8dcf33c",
+    ],
+    "sampled_sarc_nonuniform": [
+        "cfb40f77cd620408fa1f6d7149f463d274533b20a44f80d68aac32f033032740",
+        "23bd934248a4259b9b875ec586e917ddfd541a45f64a8f24be0727796e3660ad",
+    ],
+    "sampled_saarc_uniform": [
+        "83838cea9c4b7e764a6f669beede7f9f7a353ad4dee993dd5c90bb6a85fe1501",
+        "6ff7225e04736795f573075b38603af4ea3684b023ff75f79faa878785013f65",
+    ],
+    "sampled_saarc_nonuniform": [
+        "2081cd56d2e5e8b2f9977ff3f75751af2b839c79b8d3a9b5f3622448e870a278",
+        "7a070287af7f6575000a2fa410a77c29323089002c60ccd4a3b5961d49df73de",
+    ],
+    "sampled_sacr_uniform": [
+        "a01a6e1a385b8bbfd039e76462b66db1b659e21d83278650ef8001e131404b17",
+        "bf73214b8d21d6bb612ff3ba80bed1e867dcdb1f4ab42318d3159e06c9de117d",
+    ],
+    "sampled_sacr_nonuniform": [
+        "9e51d30c0c89d8b2521d21bf0f932e0cd68d7a5138e33158a01b2058bf5de69b",
+        "ffe8a5a0de04473f32d39f6c273ba4aa01bb9e166705620bcc831c37b3bf8cde",
+    ],
+    "criterion_8_pca": [
+        "ace0c169cf4e9fa1d3cffc554af53955fc97fee1ecf8d2528ef0266fd39b00cf",
+        "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
+    ],
+}
+
+
+def trace_digests(trace) -> tuple[str, str]:
+    csv = hashlib.sha256((CSV_HEADER + "\n").encode())
+    for row in trace_rows(trace):
+        csv.update((",".join(row) + "\n").encode())
+    seq = hashlib.sha256()
+    for r in trace:
+        seq.update((repr((r.phase, r.l, r.varsigma, r.t3)) + "\n").encode())
+    return csv.hexdigest(), seq.hexdigest()
+
+
+def all_digests() -> dict:
+    return {name: list(trace_digests(run())) for name, run in SPECS.items()}
+
+
+def test_traces_match_golden_digests():
+    got = all_digests()
+    assert set(got) == set(GOLDEN)
+    changed = {name: got[name] for name in GOLDEN if got[name] != GOLDEN[name]}
+    assert not changed
+
+
+def test_traces_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == GOLDEN
+
+
+if __name__ == "__main__":
+    print(json.dumps(all_digests(), indent=1))

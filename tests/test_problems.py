@@ -147,7 +147,6 @@ class TestLipschitz:
         info = lipschitz_bounds(model)
         assert info.L == pytest.approx(1.0)  # 0.25 * ||(2,0)||^2
         assert info.Lbar == pytest.approx(0.625)
-        assert info.source == "analytic"
 
     def test_analytic_dominates_true_curvature(self):
         # L_j bounds the largest eigenvalue of every component Hessian
@@ -159,21 +158,6 @@ class TestLipschitz:
                 a = model.dataset.row(j)
                 top = abs(scalar_second_derivative(model, j, x)) * float(a @ a)
                 assert top + model.reg_curvature() <= info.per_component[j] + 1e-12
-
-    def test_estimated_close_to_analytic_for_ridge(self):
-        # ridge curvature is exactly 2 everywhere, so power iteration recovers it
-        rng = np.random.default_rng(9)
-        model, _ = random_glm_instance(rng, "ridge_least_squares", n=6, d=4)
-        est = lipschitz_bounds(model, method="estimated")
-        ana = lipschitz_bounds(model)
-        assert est.source == "estimated"
-        assert np.allclose(est.per_component, ana.per_component, rtol=1e-6)
-
-    def test_rejects_unknown_method(self):
-        rng = np.random.default_rng(10)
-        model, _ = random_glm_instance(rng, "reg_logistic")
-        with pytest.raises(ValueError):
-            lipschitz_bounds(model, method="guess")
 
 
 class TestValidation:

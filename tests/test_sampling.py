@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from sarc.problems import (
 from sarc.sampling import (
     SampleStream,
     SamplingPlan,
-    build_subsampled_hessian,
+    SubsampledHessian,
     lemma_nonuniform_bound,
     lemma_uniform_bound,
     nonuniform_distribution,
@@ -68,6 +70,12 @@ class TestLemmaBounds:
         # 1/p_min overflows to inf for a subnormal p_min
         assert sample_size_nonuniform(0.5, 0.1, 1.0, 0.5, 5e-324, 10, 100) == 100
 
+    def test_uniform_lemma_infinite_bound(self):
+        assert lemma_uniform_bound(0.5, 0.1, 1e200, 10) == math.inf
+
+    def test_nonuniform_lemma_infinite_bound(self):
+        assert lemma_nonuniform_bound(0.5, 0.1, 1.0, 0.5, 5e-324, 10, 100) == math.inf
+
     def test_finite_bounds_match_capped_lemma(self):
         rng = np.random.default_rng(12)
         for _ in range(500):
@@ -80,6 +88,11 @@ class TestLemmaBounds:
                 lemma_uniform_bound(eps, delta, L, d), n)
             assert sample_size_nonuniform(eps, delta, L, Lbar, p_min, d, n) == min(
                 lemma_nonuniform_bound(eps, delta, L, Lbar, p_min, d, n), n)
+        # the infinite bounds agree with the cap as well
+        assert sample_size_uniform(0.5, 0.1, 1e200, 10, 100) == min(
+            lemma_uniform_bound(0.5, 0.1, 1e200, 10), 100)
+        assert sample_size_nonuniform(0.5, 0.1, 1.0, 0.5, 5e-324, 10, 100) == min(
+            lemma_nonuniform_bound(0.5, 0.1, 1.0, 0.5, 5e-324, 10, 100), 100)
 
 
 class TestDistribution:
@@ -224,7 +237,7 @@ class TestSubsampledHessian:
         lip = lipschitz_bounds(model)
         plan = resolve_plan(model, x, 0.5, 0.1, lip)  # caps at n here
         assert plan.exact
-        op = build_subsampled_hessian(model, x, plan, SampleStream(0), shift=0.0)
+        op = SubsampledHessian(model, x, plan, SampleStream(0), shift=0.0)
         H = dense_hessian(model, x)
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -235,8 +248,8 @@ class TestSubsampledHessian:
     def test_shift_adds_multiple_of_identity(self):
         model, x = self._model()
         plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model))
-        a = build_subsampled_hessian(model, x, plan, SampleStream(0), shift=0.0)
-        b = build_subsampled_hessian(model, x, plan, SampleStream(0), shift=0.3)
+        a = SubsampledHessian(model, x, plan, SampleStream(0), shift=0.0)
+        b = SubsampledHessian(model, x, plan, SampleStream(0), shift=0.3)
         v = np.random.default_rng(7).standard_normal(model.d)
         assert np.allclose(b.matvec(v), a.matvec(v) + 0.3 * v, rtol=1e-12)
 
@@ -245,7 +258,7 @@ class TestSubsampledHessian:
         model, x = self._model(n=60, d=4, seed=8)
         lip = lipschitz_bounds(model)
         plan = resolve_plan(model, x, 0.9, 0.1, lip, scheme="nonuniform", fixed_size=25)
-        op = build_subsampled_hessian(model, x, plan, SampleStream(11), shift=0.0)
+        op = SubsampledHessian(model, x, plan, SampleStream(11), shift=0.0)
         drawn = SampleStream(11).draw(plan, model.n)  # replay the same draw
         idx, counts = np.unique(drawn, return_counts=True)
         assert np.array_equal(idx, op.indices)
@@ -267,7 +280,7 @@ class TestSubsampledHessian:
     def test_quad_form_consistent(self):
         model, x = self._model()
         plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model), fixed_size=15)
-        op = build_subsampled_hessian(model, x, plan, SampleStream(1))
+        op = SubsampledHessian(model, x, plan, SampleStream(1))
         v = np.random.default_rng(9).standard_normal(model.d)
         assert op.quad(v) == pytest.approx(float(v @ op.matvec(v)), rel=1e-12)
 
@@ -279,7 +292,7 @@ class TestSubsampledHessian:
         acc = np.zeros((5, 5))
         trials = 400
         for _ in range(trials):
-            op = build_subsampled_hessian(model, x, plan, stream, shift=0.0)
+            op = SubsampledHessian(model, x, plan, stream, shift=0.0)
             acc += op.unshifted_dense()
         acc /= trials
         H = dense_hessian(model, x)
@@ -289,5 +302,5 @@ class TestSubsampledHessian:
     def test_spectral_error_zero_in_exact_mode(self):
         model, x = self._model()
         plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model))
-        op = build_subsampled_hessian(model, x, plan, SampleStream(0))
+        op = SubsampledHessian(model, x, plan, SampleStream(0))
         assert spectral_error(op, model, x) < 1e-12

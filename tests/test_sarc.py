@@ -125,8 +125,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(gamma1=1.0)
         with pytest.raises(ValueError):
-            SolverConfig(gamma2=1.5, gamma1=2.0)
-        with pytest.raises(ValueError):
             SolverConfig(gamma3=1.0)
         with pytest.raises(ValueError):
             SolverConfig(eta=0.0)
@@ -138,8 +136,6 @@ class TestConfigValidation:
             SolverConfig(delta=0.0)
         with pytest.raises(ValueError):
             SolverConfig(scheme="stratified")
-        with pytest.raises(ValueError):
-            SolverConfig(subproblem_backend="cg")
         with pytest.raises(ValueError):
             SolverConfig(max_iters=-1)
         with pytest.raises(ValueError):
@@ -205,10 +201,6 @@ class TestFullRuns:
         state, _ = _run_logistic(scheme="nonuniform", n=300, d=6, seed=5)
         assert state.status == "converged"
         assert all(r.sample_size >= 1 for r in state.trace)
-
-    def test_gd_backend_runs(self):
-        state, _ = _run_logistic(n=60, d=4, seed=6, subproblem_backend="gd")
-        assert state.status == "converged"
 
     def test_max_iters_status(self):
         ds = synth_logistic(100, 5, 7, 1.0)
