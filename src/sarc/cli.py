@@ -6,13 +6,16 @@ Exit codes: 0 when the gradient tolerance is reached, 2 on the iteration cap,
 1 on any error (including usage errors and diverged baselines). Multiple
 comma-separated algorithms/seeds expand to a grid of runs; --jobs runs them
 in parallel, and --out must then contain {algo} / {seed} placeholders as
-needed to keep output files distinct.
+needed to keep output files distinct. A run that raises prints a
+`status=error:<ExceptionType>` row (message and traceback on stderr) and
+the other rows are kept; any error row makes the exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -118,12 +121,21 @@ def _expand_specs(args) -> list[RunSpec]:
     return specs
 
 
-def _run_one(spec: RunSpec):
-    result = run_benchmark(spec)
-    return (
-        spec.algo, spec.seed, result.status, len(result.trace) - 1,
-        result.ledger.epochs, result.f, result.grad_norm, spec.out, result.exit_code,
+def _run_one(spec: RunSpec) -> tuple[str, int, str | None]:
+    """One grid row: its output line, exit code and error report (message and
+    traceback; None unless the run raised)."""
+    head = f"algo={spec.algo} seed={spec.seed}"
+    try:
+        result = run_benchmark(spec)
+    except Exception as exc:  # noqa: BLE001 - one failed run must not discard the grid
+        report = f"{head}: {exc}\n{traceback.format_exc().rstrip()}"
+        return f"{head} status=error:{type(exc).__name__} out={spec.out}", 1, report
+    line = (
+        f"{head} status={result.status} iters={len(result.trace) - 1} "
+        f"epochs={result.ledger.epochs:.3f} f={result.f:.6e} "
+        f"grad_norm={result.grad_norm:.3e} out={spec.out}"
     )
+    return line, result.exit_code, None
 
 
 def main(argv=None) -> int:
@@ -139,14 +151,12 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"bench: error: {exc}\n")
         return 1
-    code = 0
-    for algo, seed, status, iters, epochs, f, gn, out, rc in rows:
-        print(
-            f"algo={algo} seed={seed} status={status} iters={iters} "
-            f"epochs={epochs:.3f} f={f:.6e} grad_norm={gn:.3e} out={out}"
-        )
-        code = max(code, rc)
-    return code
+    for line, _, error in rows:
+        print(line)
+        if error is not None:
+            sys.stderr.write(f"bench: error: {error}\n")
+    codes = {rc for _, rc, _ in rows}
+    return 1 if 1 in codes else max(codes, default=0)
 
 
 if __name__ == "__main__":

@@ -36,51 +36,42 @@ FAMILIES = ("ridge_least_squares", "reg_logistic", "nonconvex_svm", "pca_quadrat
 class GlmFamily:
     """Data term fhat(t) of a generalized linear family at margins t, labels b.
 
-    `value`, `slope` and `curvature` map (t, b) elementwise to fhat, fhat' and
+    `link` maps (t, b) elementwise to the one transcendental every other map
+    shares: expit(-b t) for logistic, tanh(b t) for the SVM, t for ridge.
+    `value`, `slope` and `curvature` map (t, b, link value) to fhat, fhat' and
     fhat''; `curvature_bound` is sup_t |fhat''(t)| for labels in {-1, +1}.
     """
 
+    link: Callable
     value: Callable
     slope: Callable
     curvature: Callable
     curvature_bound: float
 
 
-def _tanh_curvature(t, b):
-    # d^2/dt^2 (1 - tanh(b t)) = 2 b^2 tanh(b t) sech^2(b t)
-    u = np.tanh(b * t)
-    return 2.0 * b * b * u * (1.0 - u * u)
-
-
-def _logistic_curvature(t, b):
-    # d^2/dt^2 ln(1+exp(-b t)) = b^2 s(1-s) with s = sigmoid(-b t)
-    s = expit(-b * t)
-    return b * b * s * (1.0 - s)
-
-
-def _tanh_slope(t, b):
-    u = np.tanh(b * t)
-    return -b * (1.0 - u * u)
-
-
 # Families whose data term is fhat_j(a_j^T x) (generalized linear form).
 GLM_FAMILIES = {
     "ridge_least_squares": GlmFamily(
-        value=lambda t, b: np.square(t - b),
-        slope=lambda t, b: 2.0 * (t - b),
-        curvature=lambda t, b: np.full(np.shape(t), 2.0),
+        link=lambda t, b: t,
+        value=lambda t, b, u: np.square(t - b),
+        slope=lambda t, b, u: 2.0 * (t - b),
+        curvature=lambda t, b, u: np.full(np.shape(t), 2.0),
         curvature_bound=2.0,
     ),
     "reg_logistic": GlmFamily(
-        value=lambda t, b: np.logaddexp(0.0, -b * t),
-        slope=lambda t, b: -b * expit(-b * t),
-        curvature=_logistic_curvature,
+        # d^2/dt^2 ln(1+exp(-b t)) = b^2 s(1-s) with s = sigmoid(-b t)
+        link=lambda t, b: expit(-b * t),
+        value=lambda t, b, s: np.logaddexp(0.0, -b * t),
+        slope=lambda t, b, s: -b * s,
+        curvature=lambda t, b, s: b * b * s * (1.0 - s),
         curvature_bound=0.25,
     ),
     "nonconvex_svm": GlmFamily(
-        value=lambda t, b: 1.0 - np.tanh(b * t),
-        slope=_tanh_slope,
-        curvature=_tanh_curvature,
+        # d^2/dt^2 (1 - tanh(b t)) = 2 b^2 tanh(b t) sech^2(b t)
+        link=lambda t, b: np.tanh(b * t),
+        value=lambda t, b, u: 1.0 - u,
+        slope=lambda t, b, u: -b * (1.0 - u * u),
+        curvature=lambda t, b, u: 2.0 * b * b * u * (1.0 - u * u),
         # max |d^2/dt^2 (1 - tanh t)| = 4/(3*sqrt(3)), attained where tanh^2 t = 1/3
         curvature_bound=4.0 / (3.0 * np.sqrt(3.0)),
     ),
@@ -137,6 +128,22 @@ class Dataset:
         return cls(sp.csr_matrix(np.atleast_2d(np.asarray(A, dtype=float))), b)
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(eq=False)
+class PointEval:
+    """Margins t = A x, the family's link value (None for pca_quadratic) and,
+    once asked for, the curvature fhat''(t) at one point; all read-only."""
+
+    key: bytes  # x.tobytes() of the point
+    t: np.ndarray
+    link: np.ndarray | None
+    curvature: np.ndarray | None = None
+
+
 @dataclass
 class LossModel:
     """A named loss family bound to a dataset.
@@ -144,6 +151,8 @@ class LossModel:
     `lam` is the regularization weight; for pca_quadratic it holds the shift mu
     instead (the library does not verify mu >= lambda_max of the covariance).
     `linear` is the fixed linear-term vector of pca_quadratic (defaults to 0).
+    The last point's margins and link value are cached (`at`), so the value,
+    gradient, curvature sweep and Hessian build at one point read A once.
     """
 
     family: str
@@ -151,6 +160,7 @@ class LossModel:
     dataset: Dataset
     reg_scale: float = 1.0
     linear: np.ndarray | None = None
+    _point: PointEval | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -187,6 +197,21 @@ class LossModel:
     def is_glm(self) -> bool:
         return self.family in GLM_FAMILIES
 
+    def at(self, x: np.ndarray) -> PointEval:
+        """Margins and link value at a checked point x, from a one-entry cache.
+
+        The key is a copy of x's bytes, so editing the caller's array in place
+        afterwards can never produce a stale hit.
+        """
+        key = x.tobytes()
+        p = self._point
+        if p is None or p.key != key:
+            t = _readonly(self.dataset.A @ x)
+            fam = GLM_FAMILIES.get(self.family)
+            link = None if fam is None else _readonly(fam.link(t, self.dataset.b))
+            p = self._point = PointEval(key, t, link)
+        return p
+
 
 def _check_point(model: LossModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
@@ -197,52 +222,46 @@ def _check_point(model: LossModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _margins(model: LossModel, x: np.ndarray) -> np.ndarray:
-    return model.dataset.A @ x
-
-
-def glm_curvature(family: str, t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """fhat''(t) for a batch of margins t and labels b of a GLM family."""
-    if family not in GLM_FAMILIES:
-        raise ValueError(f"{family} is not of generalized linear form")
-    t = np.asarray(t, dtype=float)
-    return GLM_FAMILIES[family].curvature(t, np.asarray(b, dtype=float))
-
-
 def curvature_vector(model: LossModel, x: np.ndarray) -> np.ndarray:
-    """fhat_j''(a_j^T x) for every component of a generalized linear family."""
+    """fhat_j''(a_j^T x) for every component of a generalized linear family
+    (read-only; cached with the margins at x)."""
     if not model.is_glm():
         raise ValueError(f"{model.family} is not of generalized linear form")
-    x = _check_point(model, x)
-    return glm_curvature(model.family, _margins(model, x), model.dataset.b)
+    p = model.at(_check_point(model, x))
+    if p.curvature is None:
+        curv = GLM_FAMILIES[model.family].curvature(p.t, model.dataset.b, p.link)
+        p.curvature = _readonly(curv)
+    return p.curvature
 
 
 def full_value(model: LossModel, x: np.ndarray) -> float:
     """f(x) = (1/n) sum_i f_i(x)."""
     x = _check_point(model, x)
-    t = _margins(model, x)
+    p = model.at(x)
     if model.is_glm():
         reg = model.reg_scale * model.lam * float(x @ x)
-        return float(np.mean(GLM_FAMILIES[model.family].value(t, model.dataset.b))) + reg
+        fam = GLM_FAMILIES[model.family]
+        return float(np.mean(fam.value(p.t, model.dataset.b, p.link))) + reg
     # pca_quadratic: (1/n) sum_j [0.5 x^T(mu I - a_j a_j^T)x] + c^T x
     mu = model.lam
-    return float(0.5 * mu * (x @ x) - 0.5 * np.mean(t * t) + model.linear @ x)
+    return float(0.5 * mu * (x @ x) - 0.5 * np.mean(p.t * p.t) + model.linear @ x)
 
 
-def _mean_gradient(model: LossModel, x: np.ndarray, A, b: np.ndarray) -> np.ndarray:
-    """Mean of the component gradients over the rows (A, b)."""
-    t = A @ x
+def _mean_gradient(model: LossModel, x: np.ndarray, A, b: np.ndarray,
+                   t: np.ndarray, link: np.ndarray | None) -> np.ndarray:
+    """Mean of the component gradients over the rows (A, b) at margins t = A x."""
     m = A.shape[0]
     if not model.is_glm():
         return model.lam * x - (A.T @ t) / m + model.linear
-    w = GLM_FAMILIES[model.family].slope(t, b)
+    w = GLM_FAMILIES[model.family].slope(t, b, link)
     return (A.T @ w) / m + 2.0 * model.reg_scale * model.lam * x
 
 
 def full_gradient(model: LossModel, x: np.ndarray) -> np.ndarray:
     """Exact gradient of f (gradients are never sub-sampled)."""
     x = _check_point(model, x)
-    return _mean_gradient(model, x, model.dataset.A, model.dataset.b)
+    p = model.at(x)
+    return _mean_gradient(model, x, model.dataset.A, model.dataset.b, p.t, p.link)
 
 
 def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -254,7 +273,10 @@ def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.n
         raise ValueError("batch must be non-empty")
     if indices.min() < 0 or indices.max() >= model.n:
         raise IndexError("batch index out of range")
-    return _mean_gradient(model, x, model.dataset.A[indices], model.dataset.b[indices])
+    A, b = model.dataset.A[indices], model.dataset.b[indices]
+    t = A @ x
+    link = GLM_FAMILIES[model.family].link(t, b) if model.is_glm() else None
+    return _mean_gradient(model, x, A, b, t, link)
 
 
 def component_hvp(model: LossModel, j: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -280,7 +302,9 @@ def scalar_second_derivative(model: LossModel, j: int, x: np.ndarray) -> float:
         raise IndexError(f"component index {j} out of range [0, {model.n})")
     x = _check_point(model, x)
     t = (model.dataset.A.getrow(j) @ x)[0]
-    return float(GLM_FAMILIES[model.family].curvature(t, model.dataset.b[j]))
+    b = model.dataset.b[j]
+    fam = GLM_FAMILIES[model.family]
+    return float(fam.curvature(t, b, fam.link(t, b)))
 
 
 @dataclass

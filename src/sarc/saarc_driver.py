@@ -37,6 +37,7 @@ from .sarc_driver import (
     SolverConfig,
     SolverState,
     _build,
+    _finite,
     _record,
     _sarc_steps,
     _subproblem,
@@ -140,12 +141,15 @@ def phase1_run(
 
     while state.iteration < config.max_iters:
         sub = _subproblem(state, config, "condition_4_1", state.grad, state.grad_norm)
-        f_trial = full_value(model, state.x + sub.s)
-        overestimate = (state.f - sub.model_decrease) - f_trial  # m(s) - f(x+s)
+        x_trial = state.x + sub.s
+        accept = _finite(x_trial)
+        if accept:
+            f_trial = full_value(model, x_trial)
+            accept = (state.f - sub.model_decrease) - f_trial > 0.0  # m(s) - f(x+s) > 0
         state.iteration += 1
-        if overestimate > 0.0:
+        if accept:
             state.T1 = state.iteration
-            state.x = state.x + sub.s
+            state.x = x_trial
             f_old = state.f
             state.f = f_trial
             state.grad = full_gradient(model, state.x)
@@ -195,12 +199,12 @@ def phase2_step(
     state.iteration += 1
     state.T2 += 1
 
-    if sn == 0.0:
+    x_trial = state.y + s
+    if sn == 0.0 or not _finite(x_trial):
         state.sigma = config.gamma1 * state.sigma
         _record(state, success=False)
         return state
 
-    x_trial = state.y + s
     grad_trial = full_gradient(model, x_trial)
     state.ledger.add_gradient_pass()
     rho = -float(s @ grad_trial) / sn**3

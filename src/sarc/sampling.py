@@ -23,11 +23,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .problems import (
+    GLM_FAMILIES,
     DegenerateCurvatureError,
     LossModel,
     curvature_vector,
     dense_hessian,
-    glm_curvature,
 )
 
 
@@ -239,13 +239,15 @@ class SubsampledHessian:
     The scalar curvatures fhat_j''(a_j^T x) are evaluated once per distinct
     sampled row at construction (that is the |S| component-Hessian queries the
     epoch ledger charges); applying the operator afterwards reuses them and
-    queries nothing new. Component Hessians are never materialized.
+    queries nothing new. Component Hessians are never materialized. Margins
+    and link values come from the model's point cache; an exact build also
+    takes the cached curvature vector and applies A itself, without a copy.
     """
 
     def __init__(self, model: LossModel, x: np.ndarray, plan: SamplingPlan,
                  stream: SampleStream | None = None, shift: float | None = None):
         self.model = model
-        self.x = np.asarray(x, dtype=float).copy()
+        self.x = np.asarray(x, dtype=float).ravel().copy()
         self.plan = plan
         self.shift = float(plan.eps_i / 2.0 if shift is None else shift)
         self.sample_size = plan.size  # queries charged for this build
@@ -268,15 +270,19 @@ class SubsampledHessian:
         self._indices = idx
         self._weights = w
         self._w_sum = float(w.sum())
-        self._A_S = model.dataset.A[idx]
+        self._A_S = model.dataset.A if plan.exact else model.dataset.A[idx]
 
         if model.family == "pca_quadratic":
             self._coeffs = -w
             self._diag = self._w_sum * model.lam
         else:
-            t = self._A_S @ self.x
-            b = model.dataset.b[idx]
-            self._coeffs = w * glm_curvature(model.family, t, b)
+            if plan.exact:
+                curv = curvature_vector(model, self.x)
+            else:
+                p = model.at(self.x)
+                b = model.dataset.b[idx]
+                curv = GLM_FAMILIES[model.family].curvature(p.t[idx], b, p.link[idx])
+            self._coeffs = w * curv
             self._diag = self._w_sum * model.reg_curvature()
 
     @property

@@ -9,6 +9,9 @@ weight sigma and the Hessian accuracy eps_i:
               sigma <- max(sigma_min, sigma/gamma1), Hessian rebuilt at x
     failure:  sigma <- gamma1*sigma, iterate and Hessian kept
 
+A trial point with a non-finite entry is a failure, and f is not evaluated
+there.
+
 The Hessian rebuild is lazy: a fresh operator is sampled at the top of the
 next step only if x moved, which charges nothing extra on the terminal
 success. Epochs are charged through the shared ledger: one full gradient per
@@ -233,6 +236,12 @@ def sarc_init(
     return state
 
 
+def _finite(x: np.ndarray) -> bool:
+    """Whether the loss can be evaluated at trial point x; every driver
+    rejects a step to a non-finite point like one that failed its test."""
+    return bool(np.all(np.isfinite(x)))
+
+
 def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> SolverState:
     """One accept/reject iteration; appends exactly one trace record."""
     if state.terminal:
@@ -241,11 +250,14 @@ def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> Sol
         _build(state, model, config, state.x)
 
     sub = _subproblem(state, config, "condition_3_1", state.grad, state.grad_norm)
-    s = sub.s
-    f_trial = full_value(model, state.x + s)
+    x_trial = state.x + sub.s
+    finite = _finite(x_trial)
+    f_trial = full_value(model, x_trial) if finite else np.inf
     predicted = sub.model_decrease  # f(x) - m(s)
 
-    if abs(predicted) < 1e-14 * abs(state.f):
+    if not finite:
+        success = False
+    elif abs(predicted) < 1e-14 * abs(state.f):
         success = f_trial <= state.f  # division guard at noise level
     elif predicted <= 0.0:
         state.psd_violations += 1
@@ -255,7 +267,7 @@ def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> Sol
 
     state.iteration += 1
     if success:
-        state.x = state.x + s
+        state.x = x_trial
         state.f = f_trial
         state.grad = full_gradient(model, state.x)
         state.ledger.add_gradient_pass()

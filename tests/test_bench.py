@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sarc import cli
 from sarc.accounting import EpochLedger
 from sarc.baselines import agd_run, cr_run, lbfgs_run, sgd_run
 from sarc.bench import (
@@ -235,6 +236,28 @@ class TestRunSpec:
         assert _exit_code("phase1_exhausted") == 2
         assert _exit_code("diverged") == 1
         assert _exit_code("linesearch_failed") == 1
+
+
+class TestCliGrid:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_run_keeps_the_other_rows(self, tmp_path, capsys, jobs):
+        # sgd rejects --batch 0 while sarc ignores it: one bad spec among good ones
+        out = str(tmp_path / "{algo}_{seed}.csv")
+        code = cli.main(["run", "--algo", "sarc,sgd", "--synth", "200,4,0,1", "--x0-std", "1",
+                         "--batch", "0", "--max-iters", "30", "--seed", "0,1",
+                         "--jobs", str(jobs), "--out", out])
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert code == 1
+        assert len(rows) == 4
+        assert [r.split()[:2] for r in rows] == [
+            ["algo=sarc", "seed=0"], ["algo=sarc", "seed=1"],
+            ["algo=sgd", "seed=0"], ["algo=sgd", "seed=1"],
+        ]
+        assert all("status=converged" in r for r in rows[:2])
+        assert all("status=error:ValueError" in r for r in rows[2:])
+        assert "batch must be >= 1" in captured.err
+        assert (tmp_path / "sarc_0.csv").exists() and (tmp_path / "sarc_1.csv").exists()
 
 
 class TestTraceIO:

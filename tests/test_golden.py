@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sarc.bench import ALGORITHMS, CSV_HEADER, RunSpec, run_benchmark, trace_rows
+from sarc.bench import ALGORITHMS, CSV_HEADER, SOLVERS, RunSpec, run_benchmark, trace_rows
+from sarc.data import synth_logistic
 from sarc.problems import Dataset, LossModel
 from sarc.sarc_driver import SolverConfig, sarc_run
 
@@ -31,6 +32,16 @@ def _bench(algo, scheme="uniform", **overrides):
         spec = RunSpec(algo=algo, synth=SYNTH, x0_std=1.0, max_iters=60, scheme=scheme,
                        config_overrides=overrides)
         return run_benchmark(spec).trace
+    return run
+
+
+def _family(family, algo, scheme, **overrides):
+    # the non-logistic GLM families on the same data, with sampled builds
+    def run():
+        model = LossModel(family, 1e-3, synth_logistic(*SYNTH), reg_scale=0.5)
+        cfg = SolverConfig(scheme=scheme, max_iters=40, seed=0, **overrides)
+        x0 = np.random.default_rng(5).standard_normal(SYNTH[1])
+        return SOLVERS[algo](model, cfg, x0).trace
     return run
 
 
@@ -47,6 +58,16 @@ SPECS.update({
     for algo in ("sarc", "saarc", "sacr")
     for scheme in ("uniform", "nonuniform")
 })
+# the curvature sweep followed by an exact build at the same point; every
+# build is exact at n = 2000, so these equal the uniform-scheme digests
+SPECS.update({f"bench_{algo}_nonuniform": _bench(algo, "nonuniform")
+              for algo in ("sarc", "saarc", "sacr")})
+SPECS["family_svm_sarc_uniform"] = _family("nonconvex_svm", "sarc", "uniform",
+                                           fixed_sample_size=300)
+SPECS["family_svm_saarc_nonuniform"] = _family("nonconvex_svm", "saarc", "nonuniform",
+                                               fixed_sample_size=300)
+SPECS["family_ridge_sacr_nonuniform"] = _family("ridge_least_squares", "sacr", "nonuniform",
+                                                fixed_sample_size=300)
 SPECS["criterion_8_pca"] = _criterion_8_pca
 
 GOLDEN = {
@@ -105,6 +126,30 @@ GOLDEN = {
     "sampled_sacr_nonuniform": [
         "9e51d30c0c89d8b2521d21bf0f932e0cd68d7a5138e33158a01b2058bf5de69b",
         "ffe8a5a0de04473f32d39f6c273ba4aa01bb9e166705620bcc831c37b3bf8cde",
+    ],
+    "bench_sarc_nonuniform": [
+        "132aa432217fae2828d61053ad7da0bfafb1ee1e6111c7858d3406fff864a2c7",
+        "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
+    ],
+    "bench_saarc_nonuniform": [
+        "933a9366480bdf63cbd45aa4f205d83f3f475c82944a1e9972f77af4c396940d",
+        "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
+    ],
+    "bench_sacr_nonuniform": [
+        "34b471483f8c87ee82de50297c05de157cad6d90157c6d8f845fc7b6e7dd42c8",
+        "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
+    ],
+    "family_svm_sarc_uniform": [
+        "f81f9dc86f245e7cd98c0d14592f67fd44a4bac2b3bb87820c193b2cbcaddec6",
+        "94b71a1763c3efac61ca8f76f10df6d9d5590dd6b4e96f1362ebba7116266790",
+    ],
+    "family_svm_saarc_nonuniform": [
+        "098df4244bf46df6db8ec49375ed5bd488bc2e7ffc7965e2070a037ac47e0319",
+        "131916e091dce5ad72c0df2b8085f7530d196dcc9dfa5a5304206860082471c1",
+    ],
+    "family_ridge_sacr_nonuniform": [
+        "e59525f7bb521c296a0cdf949fe984085b3bdcd52c2fe7eec5359fa96eb82953",
+        "9e9599361e36ddccba5f0bf1c92e3afa32f7ca6989a5478517d4b123feb54790",
     ],
     "criterion_8_pca": [
         "ace0c169cf4e9fa1d3cffc554af53955fc97fee1ecf8d2528ef0266fd39b00cf",

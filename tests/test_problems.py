@@ -16,6 +16,8 @@ from sarc.problems import (
 
 from oracles import fd_gradient, fd_hvp, random_glm_instance, random_pca_instance
 
+ALL_FAMILIES = ("ridge_least_squares", "reg_logistic", "nonconvex_svm", "pca_quadratic")
+
 
 def _instance(rng, family):
     if family == "pca_quadratic":
@@ -190,3 +192,59 @@ class TestValidation:
         model = LossModel("ridge_least_squares", 0.0, Dataset.from_dense([[1.0]], [1.0]))
         with pytest.raises(IndexError):
             component_hvp(model, 5, np.zeros(1), np.ones(1))
+
+
+def _fresh(model):
+    """The same loss on the same data with an empty point cache."""
+    return LossModel(model.family, model.lam, model.dataset, model.reg_scale, model.linear)
+
+
+class TestPointCache:
+    """Margins and link values are cached for the last point; hits must be
+    bit-identical to a cold evaluation and never stale."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_warm_equals_cold_bitwise(self, family):
+        rng = np.random.default_rng(11)
+        model, x = _instance(rng, family)
+        fns = [full_value, full_gradient] + ([curvature_vector] if model.is_glm() else [])
+        cold = [fn(_fresh(model), x) for fn in fns]
+        for order in (fns, fns[::-1]):
+            warm_model = _fresh(model)
+            warm = {fn: fn(warm_model, x) for fn in order}
+            for fn, ref in zip(fns, cold):
+                assert np.array_equal(warm[fn], ref)
+                assert np.array_equal(fn(warm_model, x), ref)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_interleaved_points_and_in_place_edits(self, family):
+        rng = np.random.default_rng(12)
+        model, x1 = _instance(rng, family)
+        x2 = x1 + rng.standard_normal(x1.shape[0])
+        ref = {i: (full_value(_fresh(model), x), full_gradient(_fresh(model), x))
+               for i, x in ((1, x1), (2, x2))}
+        for i, x in ((1, x1), (2, x2), (1, x1), (1, x1), (2, x2)):
+            assert full_value(model, x) == ref[i][0]
+            assert np.array_equal(full_gradient(model, x), ref[i][1])
+        x = x1.copy()
+        assert full_value(model, x) == ref[1][0]
+        x[:] = x2  # the caller edits its array in place: no stale hit
+        assert full_value(model, x) == ref[2][0]
+        assert np.array_equal(full_gradient(model, x), ref[2][1])
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_cached_arrays_reject_writes(self, family):
+        rng = np.random.default_rng(13)
+        model, x = _instance(rng, family)
+        full_gradient(model, x)
+        p = model.at(x)
+        arrays = [p.t] if family == "pca_quadratic" else [p.t, p.link, curvature_vector(model, x)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_batch_gradient_does_not_touch_the_cache(self):
+        rng = np.random.default_rng(14)
+        model, x = random_glm_instance(rng, "reg_logistic", n=20, d=3)
+        batch_gradient(model, x, np.arange(5))
+        assert model._point is None

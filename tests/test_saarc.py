@@ -167,6 +167,17 @@ class TestPhaseOne:
         assert state.sigma == pytest.approx(0.1)
         assert state.status == "phase1_exhausted"
 
+    def test_non_finite_trial_point_is_rejected(self, poison_next_step):
+        model = _logistic_model()
+        cfg = SolverConfig(gamma1=2.0, max_iters=50)
+        poison_next_step(np.nan)
+        state = phase1_run(model, cfg, np.ones(8))
+        first = state.trace[1]
+        assert first.success is False and first.phase == "one"
+        assert first.sigma == 2.0 * cfg.sigma0
+        assert first.epochs == state.trace[0].epochs
+        assert state.phase == "two"  # a later finite step passes the test
+
     def test_phase2_step_requires_phase_two(self):
         model = _quadratic_model()
         cfg = SolverConfig(exact_hessian=True, max_iters=0)
@@ -174,6 +185,24 @@ class TestPhaseOne:
         assert state.phase == "one"
         with pytest.raises(RuntimeError):
             phase2_step(state, model, cfg)
+
+
+class TestPhaseTwo:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_trial_point_is_rejected(self, poison_next_step, value):
+        model = _logistic_model()
+        cfg = SolverConfig(gamma1=2.0, max_iters=50)
+        state = phase1_run(model, cfg, np.ones(8))
+        assert state.phase == "two"
+        x, y, sigma, epochs, l = state.x.copy(), state.y.copy(), state.sigma, state.ledger.epochs, state.l
+
+        poison_next_step(value)
+        phase2_step(state, model, cfg)
+        assert state.trace[-1].success is False
+        assert state.sigma == 2.0 * sigma
+        assert state.ledger.epochs == epochs  # no gradient charged at the trial point
+        assert np.array_equal(state.x, x) and np.array_equal(state.y, y)
+        assert state.l == l and state.status == "running"
 
 
 class TestSaarcRun:

@@ -8,7 +8,9 @@ from sarc.problems import (
     DegenerateCurvatureError,
     LipschitzInfo,
     LossModel,
+    curvature_vector,
     dense_hessian,
+    full_gradient,
     lipschitz_bounds,
 )
 from sarc.sampling import (
@@ -24,7 +26,7 @@ from sarc.sampling import (
     spectral_error,
 )
 
-from oracles import random_glm_instance
+from oracles import random_glm_instance, random_pca_instance
 
 
 class TestLemmaBounds:
@@ -264,8 +266,6 @@ class TestSubsampledHessian:
         assert np.array_equal(idx, op.indices)
         p = plan.probabilities if plan.probabilities is not None else np.full(model.n, 1.0 / model.n)
         n, m = model.n, plan.size
-        from sarc.problems import curvature_vector
-
         curv = curvature_vector(model, x)
         expected = np.zeros((model.d, model.d))
         w_sum = 0.0
@@ -304,3 +304,56 @@ class TestSubsampledHessian:
         plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model))
         op = SubsampledHessian(model, x, plan, SampleStream(0))
         assert spectral_error(op, model, x) < 1e-12
+
+
+class TestHessianBuildCache:
+    """Builds read margins, link values and (exact mode) curvature from the
+    model's point cache and apply A itself in exact mode."""
+
+    BUILDS = [("reg_logistic", "uniform", 15), ("reg_logistic", "nonuniform", 15),
+              ("reg_logistic", "uniform", None), ("nonconvex_svm", "nonuniform", 15),
+              ("nonconvex_svm", "uniform", None), ("ridge_least_squares", "uniform", 15),
+              ("pca_quadratic", "uniform", 15), ("pca_quadratic", "uniform", None)]
+
+    def _instance(self, family):
+        rng = np.random.default_rng(21)
+        if family == "pca_quadratic":
+            return random_pca_instance(rng, n=40, d=5)
+        return random_glm_instance(rng, family, n=40, d=5)
+
+    def _plan(self, model, x, scheme, size):
+        # exact mode when size is None (the lemma size caps at n = 40)
+        return resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model),
+                            scheme=scheme, fixed_size=size)
+
+    @pytest.mark.parametrize("family,scheme,size", BUILDS)
+    def test_matvec_warm_equals_cold_bitwise(self, family, scheme, size):
+        model, x = self._instance(family)
+        plan = self._plan(model, x, scheme, size)
+        assert plan.exact == (size is None)
+        cold_model = LossModel(model.family, model.lam, model.dataset, model.reg_scale,
+                               model.linear)
+        cold = SubsampledHessian(cold_model, x, plan, SampleStream(3))
+        full_gradient(model, x)
+        if model.is_glm():
+            curvature_vector(model, x)
+        warm = SubsampledHessian(model, x, plan, SampleStream(3))
+        assert np.array_equal(warm.indices, cold.indices)
+        for v in np.random.default_rng(22).standard_normal((3, model.d)):
+            assert np.array_equal(warm.matvec(v), cold.matvec(v))
+
+    @pytest.mark.parametrize("family", ["reg_logistic", "pca_quadratic"])
+    def test_exact_build_shares_A(self, family):
+        model, x = self._instance(family)
+        exact = SubsampledHessian(model, x, self._plan(model, x, "uniform", None))
+        assert np.shares_memory(exact._A_S.data, model.dataset.A.data)
+        sampled = SubsampledHessian(model, x, self._plan(model, x, "uniform", 15),
+                                    SampleStream(0))
+        assert not np.shares_memory(sampled._A_S.data, model.dataset.A.data)
+
+    def test_uniform_sampled_build_computes_no_curvature_vector(self):
+        model, x = self._instance("reg_logistic")
+        plan = self._plan(model, x, "uniform", 15)
+        full_gradient(model, x)
+        SubsampledHessian(model, x, plan, SampleStream(0))
+        assert model.at(x).curvature is None

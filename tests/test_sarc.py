@@ -40,6 +40,24 @@ class TestSingleStep:
         assert state.eps_i == pytest.approx(min(0.95 / 3.0, 0.95 * state.grad_norm / 3.0))
         assert state.needs_rebuild
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_trial_point_is_rejected(self, poison_next_step, value):
+        model = LossModel("reg_logistic", 1e-3, synth_logistic(200, 4, 0, 1.0), reg_scale=0.5)
+        cfg = SolverConfig(gamma1=2.0, max_iters=5)
+        state = sarc_init(model, cfg, np.ones(4))
+        x0, f0, epochs0, H0 = state.x.copy(), state.f, state.ledger.epochs, state.H
+
+        poison_next_step(value)
+        sarc_step(state, model, cfg)
+        assert state.trace[-1].success is False
+        assert state.sigma == 2.0 * cfg.sigma0
+        assert np.array_equal(state.x, x0) and state.f == f0
+        assert state.ledger.epochs == epochs0 and state.H is H0
+        assert state.psd_violations == 0
+
+        sarc_step(state, model, cfg)  # the next, finite step proceeds as usual
+        assert state.trace[-1].success is True
+
     def test_rejected_step_changes_nothing_but_sigma(self):
         # steep single-row logistic with a tiny sigma overshoots and is rejected
         model = LossModel("reg_logistic", 0.0, Dataset.from_dense([[4.0]], [1.0]))
