@@ -3,7 +3,7 @@ with an accelerated variant, a hybrid scheme, and a benchmark harness."""
 
 from .accounting import EpochLedger
 from .baselines import BaselineResult, acr_run, agd_run, cr_run, lbfgs_run, sgd_run
-from .bench import BenchResult, RunSpec, read_trace, run_benchmark, write_trace
+from .bench import EXIT_CODES, RunSpec, exit_code, read_trace, run_benchmark, write_trace
 from .cubic import (
     CubicModel,
     SubproblemResult,
@@ -29,7 +29,7 @@ from .problems import (
 )
 from .saarc_driver import (
     EstimatingSequence,
-    phase1_run,
+    phase1_step,
     phase2_step,
     saarc_run,
     sacr_run,
@@ -46,12 +46,12 @@ from .sampling import (
     sample_size_uniform,
     spectral_error,
 )
-from .sarc_driver import SolverConfig, SolverState, TraceRecord, sarc_init, sarc_run, sarc_step
+from .sarc_driver import SolverConfig, SolverState, TraceRecord, run, sarc_init, sarc_run, sarc_step
 
 __all__ = [
     "EpochLedger",
     "BaselineResult", "acr_run", "agd_run", "cr_run", "lbfgs_run", "sgd_run",
-    "BenchResult", "RunSpec", "read_trace", "run_benchmark", "write_trace",
+    "EXIT_CODES", "RunSpec", "exit_code", "read_trace", "run_benchmark", "write_trace",
     "CubicModel", "SubproblemResult", "TerminationSpec",
     "minimize_model", "model_gradient", "model_value",
     "solve_tridiagonal_cubic",
@@ -59,10 +59,10 @@ __all__ = [
     "Dataset", "DegenerateCurvatureError", "LipschitzInfo", "LossModel",
     "batch_gradient", "component_hvp", "curvature_vector", "dense_hessian",
     "full_gradient", "full_value", "lipschitz_bounds",
-    "EstimatingSequence", "phase1_run", "phase2_step", "saarc_run", "sacr_run",
+    "EstimatingSequence", "phase1_step", "phase2_step", "saarc_run", "sacr_run",
     "SamplingPlan", "SampleStream", "SubsampledHessian",
     "lemma_nonuniform_bound", "lemma_uniform_bound",
     "nonuniform_distribution", "resolve_plan",
     "sample_size_nonuniform", "sample_size_uniform", "spectral_error",
-    "SolverConfig", "SolverState", "TraceRecord", "sarc_init", "sarc_run", "sarc_step",
+    "SolverConfig", "SolverState", "TraceRecord", "run", "sarc_init", "sarc_run", "sarc_step",
 ]

@@ -5,13 +5,16 @@ and a plain L-BFGS with Armijo backtracking.
 All baselines charge the shared ledger with what they actually query: one
 full gradient per iteration for AGD/L-BFGS, the batch size for SGD. Function
 values are free, and the full gradient norms written to the trace of SGD/AGD
-are diagnostics, not charged queries. Each run aborts when f exceeds a
-thousandfold of |f(x0)| (divergence guard).
+are diagnostics, not charged queries. Each first-order method is written as
+a generator of iterates; `_baseline` runs it in one loop that owns the trace,
+the iteration cap and the divergence rule the cubic drivers share.
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +22,7 @@ import numpy as np
 from .accounting import EpochLedger
 from .problems import LossModel, batch_gradient, full_gradient, full_value, lipschitz_bounds
 from .saarc_driver import saarc_run
-from .sarc_driver import SolverConfig, SolverState, TraceRecord, sarc_run
+from .sarc_driver import SolverConfig, SolverState, TraceRecord, _diverged, sarc_run
 
 
 def cr_run(model: LossModel, config: SolverConfig, x0, ledger=None) -> SolverState:
@@ -42,27 +45,53 @@ class BaselineResult:
     ledger: EpochLedger
 
 
-def _divergence_bound(f0: float) -> float:
-    return 1e3 * abs(f0) if f0 != 0.0 else 1e3
+def _baseline(method):
+    """Turn `method(model, config, x0, ledger, **options)`, a generator of
+    iterates, into a run `(model, config, x0, ledger=None, **options)`.
+
+    Each (x, f, grad_norm) the generator yields, the start point first, is
+    recorded; the run ends at the gradient tolerance, on divergence, at the
+    iteration cap, or with the status the generator returns when it stops.
+    """
+
+    @functools.wraps(method)
+    def run(model: LossModel, config: SolverConfig, x0, ledger: EpochLedger | None = None,
+            **options) -> BaselineResult:
+        ledger = ledger if ledger is not None else EpochLedger(model.n)
+        iterates = method(model, config, x0, ledger, **options)
+        t0 = time.perf_counter()
+        trace: list[TraceRecord] = []
+        while True:
+            try:
+                x, f, gn = next(iterates)
+            except StopIteration as stop:
+                status = stop.value
+                break
+            trace.append(TraceRecord(
+                iteration=len(trace), f=f, grad_norm=gn, sigma=None, eps_i=None,
+                sample_size=None, success=None, epochs=ledger.epochs,
+                wall_time=time.perf_counter() - t0,
+            ))
+            if gn <= config.grad_tol:
+                status = "converged"
+                break
+            if _diverged(f, trace[0].f):
+                status = "diverged"
+                break
+            if len(trace) > config.max_iters:
+                status = "max_iters"
+                break
+        return BaselineResult(x, f, gn, status, trace, ledger)
+
+    return run
 
 
-def _base_record(trace, ledger, t0, iteration, f, grad_norm):
-    trace.append(
-        TraceRecord(
-            iteration=iteration, f=f, grad_norm=grad_norm,
-            sigma=None, eps_i=None, sample_size=None, success=None,
-            epochs=ledger.epochs, wall_time=time.perf_counter() - t0,
-        )
-    )
+def _diagnostic_norm(model: LossModel, x: np.ndarray) -> float:
+    return float(np.linalg.norm(full_gradient(model, x)))  # not charged
 
 
-def agd_run(
-    model: LossModel,
-    config: SolverConfig,
-    x0,
-    ledger: EpochLedger | None = None,
-    L: float | None = None,
-) -> BaselineResult:
+@_baseline
+def agd_run(model, config, x0, ledger, L: float | None = None):
     """Nesterov's method with monotone backtracking on the step constant.
 
     L starts from the mean analytic component bound (an upper bound on the
@@ -70,22 +99,12 @@ def agd_run(
     O(L/k^2) guarantee applies with the final constant.
     """
     x = np.asarray(x0, dtype=float).ravel()
-    ledger = ledger if ledger is not None else EpochLedger(model.n)
     if L is None:
         L = lipschitz_bounds(model).Lbar
-    t0 = time.perf_counter()
-    f = full_value(model, x)
-    bound = _divergence_bound(f)
-    gn = float(np.linalg.norm(full_gradient(model, x)))  # diagnostic
-    trace: list[TraceRecord] = []
-    _base_record(trace, ledger, t0, 0, f, gn)
-    if gn <= config.grad_tol:
-        return BaselineResult(x, f, gn, "converged", trace, ledger)
-
+    yield x, full_value(model, x), _diagnostic_norm(model, x)
     y = x.copy()
     tk = 1.0
-    status = "max_iters"
-    for it in range(1, config.max_iters + 1):
+    while True:
         grad_y = full_gradient(model, y)
         ledger.add_gradient_pass()
         f_y = full_value(model, y)
@@ -100,26 +119,11 @@ def agd_run(
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         y = x_new + ((tk - 1.0) / t_next) * (x_new - x)
         x, tk = x_new, t_next
-        f = f_new
-        gn = float(np.linalg.norm(full_gradient(model, x)))  # diagnostic
-        _base_record(trace, ledger, t0, it, f, gn)
-        if gn <= config.grad_tol:
-            status = "converged"
-            break
-        if f > bound:
-            status = "diverged"
-            break
-    return BaselineResult(x, f, gn, status, trace, ledger)
+        yield x, f_new, _diagnostic_norm(model, x)
 
 
-def sgd_run(
-    model: LossModel,
-    config: SolverConfig,
-    x0,
-    ledger: EpochLedger | None = None,
-    batch: int = 32,
-    step: float | None = None,
-) -> BaselineResult:
+@_baseline
+def sgd_run(model, config, x0, ledger, batch: int = 32, step: float | None = None):
     """Constant-step SGD: step 1/L by default, uniform with-replacement batches.
 
     batch >= n means a full deterministic gradient pass per iteration (plain
@@ -128,21 +132,11 @@ def sgd_run(
         raise ValueError("batch must be >= 1")
     x = np.asarray(x0, dtype=float).ravel()
     n = model.n
-    ledger = ledger if ledger is not None else EpochLedger(n)
     if step is None:
         step = 1.0 / lipschitz_bounds(model).Lbar
     rng = np.random.default_rng(np.random.Philox(key=config.seed))
-    t0 = time.perf_counter()
-    f = full_value(model, x)
-    bound = _divergence_bound(f)
-    gn = float(np.linalg.norm(full_gradient(model, x)))  # diagnostic
-    trace: list[TraceRecord] = []
-    _base_record(trace, ledger, t0, 0, f, gn)
-    if gn <= config.grad_tol:
-        return BaselineResult(x, f, gn, "converged", trace, ledger)
-
-    status = "max_iters"
-    for it in range(1, config.max_iters + 1):
+    yield x, full_value(model, x), _diagnostic_norm(model, x)
+    while True:
         if batch >= n:
             g_est = full_gradient(model, x)
             ledger.add_gradient_pass()
@@ -151,55 +145,32 @@ def sgd_run(
             g_est = batch_gradient(model, x, idx)
             ledger.add_gradient_pass(batch)
         x = x - step * g_est
-        f = full_value(model, x)
-        gn = float(np.linalg.norm(full_gradient(model, x)))  # diagnostic
-        _base_record(trace, ledger, t0, it, f, gn)
-        if gn <= config.grad_tol:
-            status = "converged"
-            break
-        if f > bound:
-            status = "diverged"
-            break
-    return BaselineResult(x, f, gn, status, trace, ledger)
+        yield x, full_value(model, x), _diagnostic_norm(model, x)
 
 
-def lbfgs_run(
-    model: LossModel,
-    config: SolverConfig,
-    x0,
-    ledger: EpochLedger | None = None,
-    memory: int = 10,
-) -> BaselineResult:
+@_baseline
+def lbfgs_run(model, config, x0, ledger, memory: int = 10):
     """Two-loop-recursion L-BFGS with Armijo halving; a plain reference
     implementation, not a tuned production solver."""
     x = np.asarray(x0, dtype=float).ravel()
-    ledger = ledger if ledger is not None else EpochLedger(model.n)
-    t0 = time.perf_counter()
     f = full_value(model, x)
-    bound = _divergence_bound(f)
     grad = full_gradient(model, x)
     ledger.add_gradient_pass()
     gn = float(np.linalg.norm(grad))
-    trace: list[TraceRecord] = []
-    _base_record(trace, ledger, t0, 0, f, gn)
-    if gn <= config.grad_tol:
-        return BaselineResult(x, f, gn, "converged", trace, ledger)
+    yield x, f, gn
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
-    status = "max_iters"
-    for it in range(1, config.max_iters + 1):
+    pairs: deque = deque(maxlen=memory)  # (s, y, 1/(s.y)), oldest first
+    while True:
         q = grad.copy()
         alphas = []
-        for s_v, y_v, r in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s_v, y_v, r in reversed(pairs):
             a = r * (s_v @ q)
             alphas.append(a)
             q -= a * y_v
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for (s_v, y_v, r), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        if pairs:
+            s_v, y_v, _ = pairs[-1]
+            q *= (s_v @ y_v) / (y_v @ y_v)
+        for (s_v, y_v, r), a in zip(pairs, reversed(alphas)):
             q += (a - r * (y_v @ q)) * s_v
         p = -q
         slope = float(grad @ p)
@@ -208,17 +179,14 @@ def lbfgs_run(
             slope = -gn * gn
 
         t_step = 1.0
-        accepted = False
         for _ in range(50):
             x_new = x + t_step * p
             f_new = full_value(model, x_new)
             if f_new <= f + 1e-4 * t_step * slope:
-                accepted = True
                 break
             t_step *= 0.5
-        if not accepted:
-            status = "linesearch_failed"
-            break
+        else:
+            return "linesearch_failed"
 
         grad_new = full_gradient(model, x_new)
         ledger.add_gradient_pass()
@@ -226,20 +194,7 @@ def lbfgs_run(
         y_v = grad_new - grad
         sy = float(s_v @ y_v)
         if sy > 1e-10 * np.linalg.norm(s_v) * np.linalg.norm(y_v):
-            s_hist.append(s_v)
-            y_hist.append(y_v)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            pairs.append((s_v, y_v, 1.0 / sy))
         x, f, grad = x_new, f_new, grad_new
         gn = float(np.linalg.norm(grad))
-        _base_record(trace, ledger, t0, it, f, gn)
-        if gn <= config.grad_tol:
-            status = "converged"
-            break
-        if f > bound:
-            status = "diverged"
-            break
-    return BaselineResult(x, f, gn, status, trace, ledger)
+        yield x, f, gn

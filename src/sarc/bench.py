@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accounting import EpochLedger
-from .baselines import acr_run, agd_run, cr_run, lbfgs_run, sgd_run
+from .baselines import BaselineResult, acr_run, agd_run, cr_run, lbfgs_run, sgd_run
 from .data import parse_libsvm, synth_logistic
 from .problems import Dataset, LossModel
 from .saarc_driver import saarc_run, sacr_run
-from .sarc_driver import SolverConfig, TraceRecord, sarc_run
+from .sarc_driver import SolverConfig, SolverState, TraceRecord, sarc_run
 
 # every solver returns a state or result with x, f, grad_norm, status, trace, ledger
 SOLVERS = {
@@ -73,28 +72,21 @@ def build_model(dataset: Dataset, lam: float) -> LossModel:
     return LossModel("reg_logistic", lam, dataset, reg_scale=0.5)
 
 
-@dataclass
-class BenchResult:
-    spec: RunSpec
-    x: np.ndarray
-    f: float
-    grad_norm: float
-    status: str
-    trace: list[TraceRecord]
-    ledger: EpochLedger
-    exit_code: int
-    raw: object  # the driver state or baseline result
+# 0: the gradient tolerance was reached, 2: the iteration cap, 1: a failure
+EXIT_CODES = {
+    "converged": 0, "stationary": 0,
+    "max_iters": 2, "phase1_exhausted": 2,
+    "diverged": 1, "linesearch_failed": 1,
+}
 
 
-def _exit_code(status: str) -> int:
-    if status in ("converged", "stationary"):
-        return 0
-    if status in ("max_iters", "phase1_exhausted"):
-        return 2
-    return 1
+def exit_code(status: str) -> int:
+    """The CLI exit code of a run's status; an unknown status is a failure."""
+    return EXIT_CODES.get(status, 1)
 
 
-def run_benchmark(spec: RunSpec) -> BenchResult:
+def run_benchmark(spec: RunSpec) -> SolverState | BaselineResult:
+    """Run one spec and return the solver's own result."""
     dataset = load_dataset(spec)
     model = build_model(dataset, spec.lam)
     config = SolverConfig(
@@ -113,11 +105,7 @@ def run_benchmark(spec: RunSpec) -> BenchResult:
     result = SOLVERS[spec.algo](model, config, x0, **kwargs)
     if spec.out is not None:
         write_trace(spec.out, result.trace)
-    return BenchResult(
-        spec=spec, x=result.x, f=result.f, grad_norm=result.grad_norm, status=result.status,
-        trace=result.trace, ledger=result.ledger, exit_code=_exit_code(result.status),
-        raw=result,
-    )
+    return result
 
 
 def _cell(value, kind: str) -> str:

@@ -2,13 +2,14 @@
 
     bench run --algo sarc --synth 1000,20,0,1 --lambda 1e-5 --out trace.csv
 
-Exit codes: 0 when the gradient tolerance is reached, 2 on the iteration cap,
-1 on any error (including usage errors and diverged baselines). Multiple
-comma-separated algorithms/seeds expand to a grid of runs; --jobs runs them
-in parallel, and --out must then contain {algo} / {seed} placeholders as
-needed to keep output files distinct. A run that raises prints a
-`status=error:<ExceptionType>` row (message and traceback on stderr) and
-the other rows are kept; any error row makes the exit code 1.
+Exit codes (`bench.EXIT_CODES`): 0 when the gradient tolerance is reached,
+2 on the iteration cap, 1 on any error (including usage errors, diverged
+runs and line-search failures). Multiple comma-separated algorithms/seeds
+expand to a grid of runs; --jobs runs them in parallel, and --out must then
+contain {algo} / {seed} placeholders as needed to keep output files
+distinct. A run that raises prints a `status=error:<ExceptionType>` row
+(message and traceback on stderr) and the other rows are kept; any error
+row makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .bench import ALGORITHMS, RunSpec, run_benchmark
+from .bench import ALGORITHMS, RunSpec, exit_code, run_benchmark
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,7 +136,7 @@ def _run_one(spec: RunSpec) -> tuple[str, int, str | None]:
         f"epochs={result.ledger.epochs:.3f} f={result.f:.6e} "
         f"grad_norm={result.grad_norm:.3e} out={spec.out}"
     )
-    return line, result.exit_code, None
+    return line, exit_code(result.status), None
 
 
 def main(argv=None) -> int:

@@ -37,6 +37,9 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
+SECULAR_TOL = 1e-10  # secular stationarity residual target, relative to ||g||
+SECULAR_MAX_ITER = 300  # Newton/bisection steps before the best iterate is returned
+
 
 class _MatrixOp:
     def __init__(self, M):
@@ -131,16 +134,13 @@ def solve_tridiagonal_cubic(
     off: np.ndarray,
     gnorm: float,
     sigma: float,
-    tol_factor: float = 1e-10,
-    max_iter: int = 300,
 ) -> np.ndarray:
     """Global minimizer of gnorm*e1.y + 0.5 y.T y + (sigma/3)||y||^3.
 
     Returns subspace coordinates y. The stationarity residual
-    |sigma||y|| - lambda| * ||y|| is driven below tol_factor*gnorm
-    (tol_factor alone when gnorm = 0). The minimal eigenpair is deflated from
-    every shifted solve and handled analytically, so roots arbitrarily close
-    to the barrier stay resolvable. The hard case (e1 orthogonal to the
+    |sigma||y|| - lambda| * ||y|| is driven below SECULAR_TOL*gnorm. The
+    minimal eigenpair is deflated from every shifted solve and handled
+    analytically, so roots arbitrarily close to the barrier stay resolvable. The hard case (e1 orthogonal to the
     minimal eigenspace, only possible for reducible T) is resolved by the
     boundary root plus a null-space step.
     """
@@ -185,7 +185,7 @@ def solve_tridiagonal_cubic(
         tnorm += 2.0 * float(np.abs(off).max())
     # provable root bound: (lambda - ||T||)^2 <= sigma*gnorm at the root
     lam_hi = tnorm + np.sqrt(sigma * gnorm)
-    tol = tol_factor * gnorm
+    tol = SECULAR_TOL * gnorm
 
     # probe just right of the barrier to detect the hard case
     d_probe = max(barrier, 1.0) * 1e-13
@@ -222,7 +222,7 @@ def solve_tridiagonal_cubic(
 
     delta = 0.5 * d_hi
     best_y, best_res = None, np.inf
-    for _ in range(max_iter):
+    for _ in range(SECULAR_MAX_ITER):
         try:
             y = y_of(delta)
         except scipy.linalg.LinAlgError:

@@ -19,9 +19,10 @@ which is the tolerance of the operator actually built at y_l; that gradient
 doubles as the next subproblem's linear term, so it is charged once.
 
 The hybrid runs this scheme until the relative progress of a successful step
-drops to 0.1, then runs the non-accelerated driver on the same state for the
-local phase (phase "sarc": sigma carried over, eps re-initialized, Hessian
-rebuilt at the anchor).
+drops to 0.1, then switches the same state to the non-accelerated step for
+the local phase (phase "sarc": sigma carried over, eps re-initialized,
+Hessian rebuilt at the anchor). Every phase is one step of the shared run
+loop, chosen by `state.phase` from `STEPS`.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ from .sarc_driver import (
     SolverConfig,
     SolverState,
     _build,
+    _end,
     _finite,
     _record,
-    _sarc_steps,
+    _reject,
     _subproblem,
+    run,
     sarc_init,
+    sarc_step,
 )
 
 
@@ -127,69 +131,61 @@ def _audit_sequence(state: SolverState, config: SolverConfig, z: np.ndarray, thr
                 raise AssertionError("cubic-growth inequality violated at a probe point")
 
 
-def phase1_run(
-    model: LossModel,
-    config: SolverConfig,
-    x0: np.ndarray,
-    ledger: EpochLedger | None = None,
-    progress_hook=None,
-) -> SolverState:
-    """Accept/reject from x0 with one Hessian until m - f(x+s) > 0."""
-    state = sarc_init(model, config, x0, ledger=ledger, phase="one")
-    if state.terminal:
-        return state
+def _switch(state: SolverState, config: SolverConfig) -> None:
+    """The hybrid's switch, after the success row that triggered it is
+    recorded: phase "sarc" from here on, sigma carried over, eps
+    re-initialized and the Hessian rebuilt at the anchor."""
+    state.switch_iteration = state.iteration
+    state.phase = "sarc"
+    state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
+    state.needs_rebuild = True
 
-    while state.iteration < config.max_iters:
-        sub = _subproblem(state, config, "condition_4_1", state.grad, state.grad_norm)
-        x_trial = state.x + sub.s
-        accept = _finite(x_trial)
-        if accept:
-            f_trial = full_value(model, x_trial)
-            accept = (state.f - sub.model_decrease) - f_trial > 0.0  # m(s) - f(x+s) > 0
-        state.iteration += 1
-        if accept:
-            state.T1 = state.iteration
-            state.x = x_trial
-            f_old = state.f
-            state.f = f_trial
-            state.grad = full_gradient(model, state.x)
-            state.ledger.add_gradient_pass()
-            state.grad_norm = float(np.linalg.norm(state.grad))
-            _record(state, success=True)
-            if state.grad_norm <= config.grad_tol:
-                state.terminal = True
-                state.status = "converged"
-                return state
-            if progress_hook is not None and progress_hook(f_old, state.f):
-                state.status = "switch"
-                return state
-            varsigma0 = config.varsigma0 if config.varsigma0 is not None else config.sigma0
-            state.seq = EstimatingSequence(
-                xbar1=state.x.copy(), varsigma=varsigma0,
-                lin_const=state.f, lin_grad=np.zeros(model.dataset.d),
-            )
-            # z1 = xbar1, so y1 = 1/4 xbar1 + 3/4 z1 is the anchor itself
-            state.y = state.x.copy()
-            state.grad_y = state.grad
-            state.grad_y_norm = state.grad_norm
-            state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
-            _build(state, model, config, state.y)
-            state.phase = "two"
-            state.l = 1
-            return state
-        state.sigma = config.gamma1 * state.sigma
-        _record(state, success=False)
 
-    state.status = "phase1_exhausted"
+def phase1_step(state: SolverState, model: LossModel, config: SolverConfig) -> SolverState:
+    """One phase-one iteration from x0 with the Hessian built there; the first
+    step with m - f(x+s) > 0 is accepted and starts phase two."""
+    if state.terminal or state.phase != "one":
+        raise RuntimeError("phase1_step requires a live phase-one state")
+    sub = _subproblem(state, config, "condition_4_1", state.grad, state.grad_norm)
+    x_trial = state.x + sub.s
+    accept = _finite(x_trial)
+    if accept:
+        f_trial = full_value(model, x_trial)
+        accept = (state.f - sub.model_decrease) - f_trial > 0.0  # m(s) - f(x+s) > 0
+    state.iteration += 1
+    if not accept:
+        return _reject(state, config)
+
+    state.T1 = state.iteration
+    state.x = x_trial
+    f_old = state.f
+    state.f = f_trial
+    state.grad = full_gradient(model, state.x)
+    state.ledger.add_gradient_pass()
+    state.grad_norm = float(np.linalg.norm(state.grad))
+    _record(state, success=True)
+    if state.grad_norm <= config.grad_tol:
+        _end(state, "converged")
+    elif state.hybrid and relative_progress_trigger(f_old, state.f):
+        _switch(state, config)
+    else:
+        varsigma0 = config.varsigma0 if config.varsigma0 is not None else config.sigma0
+        state.seq = EstimatingSequence(
+            xbar1=state.x.copy(), varsigma=varsigma0,
+            lin_const=state.f, lin_grad=np.zeros(model.dataset.d),
+        )
+        # z1 = xbar1, so y1 = 1/4 xbar1 + 3/4 z1 is the anchor itself
+        state.y = state.x.copy()
+        state.grad_y = state.grad
+        state.grad_y_norm = state.grad_norm
+        state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
+        _build(state, model, config, state.y)
+        state.phase = "two"
+        state.l = 1
     return state
 
 
-def phase2_step(
-    state: SolverState,
-    model: LossModel,
-    config: SolverConfig,
-    progress_hook=None,
-) -> SolverState:
+def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> SolverState:
     """One accelerated iteration at the extrapolation point y_l."""
     if state.terminal or state.phase != "two":
         raise RuntimeError("phase2_step requires a live phase-two state")
@@ -197,22 +193,16 @@ def phase2_step(
     s = sub.s
     sn = float(np.linalg.norm(s))
     state.iteration += 1
-    state.T2 += 1
 
     x_trial = state.y + s
     if sn == 0.0 or not _finite(x_trial):
-        state.sigma = config.gamma1 * state.sigma
-        _record(state, success=False)
-        return state
+        return _reject(state, config)
 
     grad_trial = full_gradient(model, x_trial)
     state.ledger.add_gradient_pass()
     rho = -float(s @ grad_trial) / sn**3
-
     if rho < config.eta:
-        state.sigma = config.gamma1 * state.sigma
-        _record(state, success=False)
-        return state
+        return _reject(state, config)
 
     f_old = state.f
     f_new = full_value(model, x_trial)
@@ -232,13 +222,12 @@ def phase2_step(
     state.l = l_new
 
     if state.grad_norm <= config.grad_tol:
-        state.terminal = True
-        state.status = "converged"
+        _end(state, "converged")
         _record(state, success=True)
         return state
-    if progress_hook is not None and progress_hook(f_old, f_new):
-        state.status = "switch"
+    if state.hybrid and relative_progress_trigger(f_old, f_new):
         _record(state, success=True)
+        _switch(state, config)
         return state
 
     state.y = (l_new / (l_new + 3.0)) * x_trial + (3.0 / (l_new + 3.0)) * z
@@ -254,13 +243,14 @@ def phase2_step(
             state.f = f_y
             state.grad = state.grad_y
             state.grad_norm = state.grad_y_norm
-        state.terminal = True
-        state.status = "converged"
-        _record(state, success=True)
-        return state
-    _build(state, model, config, state.y)
+        _end(state, "converged")
+    else:
+        _build(state, model, config, state.y)
     _record(state, success=True)
     return state
+
+
+STEPS = {"sarc": sarc_step, "one": phase1_step, "two": phase2_step}
 
 
 def saarc_run(
@@ -268,15 +258,9 @@ def saarc_run(
     config: SolverConfig,
     x0: np.ndarray,
     ledger: EpochLedger | None = None,
-    progress_hook=None,
 ) -> SolverState:
-    state = phase1_run(model, config, x0, ledger=ledger, progress_hook=progress_hook)
-    # "running" after phase one means phase two is live
-    while state.status == "running" and state.iteration < config.max_iters:
-        phase2_step(state, model, config, progress_hook=progress_hook)
-    if state.status == "running":
-        state.status = "max_iters"
-    return state
+    state = sarc_init(model, config, x0, ledger=ledger, phase="one")
+    return run(state, model, config, STEPS)
 
 
 def sacr_run(
@@ -290,13 +274,6 @@ def sacr_run(
     `switch_iteration` is the iteration of the switch, None when the run
     ended before it.
     """
-    state = saarc_run(model, config, x0, ledger=ledger,
-                      progress_hook=relative_progress_trigger)
-    if state.status != "switch":
-        return state
-    state.switch_iteration = state.iteration
-    state.phase = "sarc"
-    state.status = "running"
-    state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
-    state.needs_rebuild = True
-    return _sarc_steps(state, model, config)
+    state = sarc_init(model, config, x0, ledger=ledger, phase="one")
+    state.hybrid = True
+    return run(state, model, config, STEPS)

@@ -114,15 +114,13 @@ class SamplingPlan:
 
     `eps_i` is the solver's Hessian tolerance; the lemma formulas are evaluated
     at eps_i/2 because the operator also receives an (eps_i/2) I shift.
-    `per_iter_delta` is delta * eps**exponent with exponent 1/2 or 1/3 depending
-    on the driver. `scheme` is the scheme actually used after resolution; when
-    the requested non-uniform size exceeds the uniform one the plan downgrades
+    `scheme` is the scheme actually used after resolution; when the requested
+    non-uniform size exceeds the uniform one the plan downgrades
     (`downgraded=True`) so each lemma keeps its own size/distribution pairing.
     """
 
     scheme: str
     eps_i: float
-    per_iter_delta: float
     size: int
     exact: bool
     probabilities: np.ndarray | None = None
@@ -201,7 +199,6 @@ def resolve_plan(
     return SamplingPlan(
         scheme=scheme,
         eps_i=eps_i,
-        per_iter_delta=per_iter_delta,
         size=size,
         exact=exact,
         probabilities=p,
@@ -228,9 +225,6 @@ class SampleStream:
         if plan.scheme == "nonuniform":
             return self._gen.choice(n, size=plan.size, replace=True, p=plan.probabilities)
         return self._gen.integers(0, n, size=plan.size)
-
-    def gaussian(self, size, std: float = 1.0) -> np.ndarray:
-        return std * self._gen.standard_normal(size)
 
 
 class SubsampledHessian:

@@ -17,8 +17,10 @@ next step only if x moved, which charges nothing extra on the terminal
 success. Epochs are charged through the shared ledger: one full gradient per
 accepted step, the sample size once per build, function values free.
 
-The run state, the Hessian build, the subproblem call and the trace record
-defined here are shared with the accelerated and hybrid drivers.
+The run state, the Hessian build, the subproblem call, the trace record and
+the run loop defined here are shared with the accelerated and hybrid
+drivers: one loop steps the state with the step of its phase and owns the
+iteration cap, the terminal statuses and the divergence rule.
 """
 
 from __future__ import annotations
@@ -108,9 +110,10 @@ class SolverState:
 
     `phase` is "sarc" for the non-accelerated driver, "one" and "two" for the
     phases of the accelerated one; the hybrid flips "one"/"two" to "sarc" at
-    its switch. `x`, `f`, `grad`, `grad_norm` always describe the iterate (the
-    anchor xbar_l in phase two); `y`, `grad_y`, `grad_y_norm`, `seq`, `l` and
-    the T counters belong to the accelerated phases.
+    its switch when `hybrid` is set. `x`, `f`, `grad`, `grad_norm` always
+    describe the iterate (the anchor xbar_l in phase two); `y`, `grad_y`,
+    `grad_y_norm`, `seq`, `l` and the T counters belong to the accelerated
+    phases.
     """
 
     x: np.ndarray
@@ -136,8 +139,8 @@ class SolverState:
     seq: EstimatingSequence | None = None
     l: int = 0
     T1: int = 0
-    T2: int = 0
     T3: int = 0
+    hybrid: bool = False  # switch to "sarc" once a success makes little progress
     switch_iteration: int | None = None  # hybrid only: iteration of the switch to "sarc"
     probe_rng: np.random.Generator | None = None
     t0: float = field(default_factory=time.perf_counter)
@@ -198,6 +201,24 @@ def _record(state: SolverState, *, success: bool | None) -> TraceRecord:
     return rec
 
 
+def _reject(state: SolverState, config: SolverConfig) -> SolverState:
+    """A failed step: the iterate is kept and sigma grows by gamma1."""
+    state.sigma = config.gamma1 * state.sigma
+    _record(state, success=False)
+    return state
+
+
+def _end(state: SolverState, status: str) -> None:
+    state.terminal = True
+    state.status = status
+
+
+def _diverged(f: float, f0: float) -> bool:
+    """The divergence rule of every run loop: |f| beyond a thousandfold of
+    |f(x0)| (of 1 when f(x0) = 0), which also catches -inf and nan."""
+    return not abs(f) <= 1e3 * (abs(f0) if f0 != 0.0 else 1.0)
+
+
 def sarc_init(
     model: LossModel,
     config: SolverConfig,
@@ -228,8 +249,7 @@ def sarc_init(
         probe_rng=np.random.default_rng(np.random.Philox(key=config.seed + 0x5EED)),
     )
     if gn <= config.grad_tol:
-        state.terminal = True
-        state.status = "stationary" if gn == 0.0 else "converged"
+        _end(state, "stationary" if gn == 0.0 else "converged")
     else:
         _build(state, model, config, x0)
     _record(state, success=None)
@@ -266,30 +286,39 @@ def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> Sol
         success = (state.f - f_trial) / predicted >= config.eta
 
     state.iteration += 1
-    if success:
-        state.x = x_trial
-        state.f = f_trial
-        state.grad = full_gradient(model, state.x)
-        state.ledger.add_gradient_pass()
-        state.grad_norm = float(np.linalg.norm(state.grad))
-        state.eps_i = min(state.eps_i, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
-        state.sigma = max(config.sigma_min, state.sigma / config.gamma1)
-        state.needs_rebuild = True
-        if state.grad_norm <= config.grad_tol:
-            state.terminal = True
-            state.status = "converged"
-    else:
-        state.sigma = config.gamma1 * state.sigma
-    _record(state, success=success)
+    if not success:
+        return _reject(state, config)
+    state.x = x_trial
+    state.f = f_trial
+    state.grad = full_gradient(model, state.x)
+    state.ledger.add_gradient_pass()
+    state.grad_norm = float(np.linalg.norm(state.grad))
+    state.eps_i = min(state.eps_i, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
+    state.sigma = max(config.sigma_min, state.sigma / config.gamma1)
+    state.needs_rebuild = True
+    if state.grad_norm <= config.grad_tol:
+        _end(state, "converged")
+    _record(state, success=True)
     return state
 
 
-def _sarc_steps(state: SolverState, model: LossModel, config: SolverConfig) -> SolverState:
-    """Run sarc_step until a terminal status or the iteration cap."""
-    while not state.terminal and state.iteration < config.max_iters:
-        sarc_step(state, model, config)
-    if not state.terminal:
-        state.status = "max_iters"
+STEPS = {"sarc": sarc_step}
+
+
+def run(state: SolverState, model: LossModel, config: SolverConfig,
+        steps: dict = STEPS) -> SolverState:
+    """Step `state` with `steps[state.phase]` until a terminal status, the
+    divergence rule or the iteration cap ("phase1_exhausted" if phase one
+    never ended, else "max_iters"); the accelerated driver passes its own
+    table of steps."""
+    f0 = state.trace[0].f
+    while not state.terminal:
+        if state.iteration >= config.max_iters:
+            state.status = "phase1_exhausted" if state.phase == "one" else "max_iters"
+            break
+        steps[state.phase](state, model, config)
+        if not state.terminal and _diverged(state.f, f0):
+            _end(state, "diverged")
     return state
 
 
@@ -299,4 +328,4 @@ def sarc_run(
     x0: np.ndarray,
     ledger: EpochLedger | None = None,
 ) -> SolverState:
-    return _sarc_steps(sarc_init(model, config, x0, ledger=ledger), model, config)
+    return run(sarc_init(model, config, x0, ledger=ledger), model, config)

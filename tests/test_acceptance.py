@@ -39,7 +39,6 @@ from sarc.sampling import (
 )
 from sarc.saarc_driver import (
     _audit_sequence,
-    phase1_run,
     phase2_step,
     saarc_run,
     sacr_run,
@@ -54,6 +53,7 @@ from oracles import (
     random_glm_instance,
     random_pca_instance,
 )
+from phases import run_phase_one
 
 
 class _Criterion:
@@ -132,8 +132,7 @@ def test_criterion_2_uniform_concentration(capsys):
         c.check(rp.size == size and not rp.exact, "resolver size disagrees with bound")
 
         plan = SamplingPlan(
-            scheme="uniform", eps_i=2.0 * eps, per_iter_delta=delta,
-            size=size, exact=False,
+            scheme="uniform", eps_i=2.0 * eps, size=size, exact=False,
         )
         stream = SampleStream(123)
         bad = 0
@@ -289,7 +288,7 @@ def test_criterion_7_estimating_sequence_invariants(capsys):
         # the guard must actually reject a corrupted minimizer
         qmodel, _, _ = diag_quadratic_problem(d=5, cond=10.0)
         qcfg = SolverConfig(exact_hessian=True, max_iters=30)
-        qstate = phase1_run(qmodel, qcfg, np.full(5, 2.0))
+        qstate = run_phase_one(qmodel, qcfg, np.full(5, 2.0))
         c.check(qstate.phase == "two", "phase two not reached")
         phase2_step(qstate, qmodel, qcfg)
         z = qstate.seq.argmin()

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from sarc import cli
+from sarc import baselines, bench, cli
 from sarc.accounting import EpochLedger
 from sarc.baselines import agd_run, cr_run, lbfgs_run, sgd_run
 from sarc.bench import (
+    ALGORITHMS,
     CSV_HEADER,
+    EXIT_CODES,
+    SOLVERS,
     RunSpec,
-    _exit_code,
     build_model,
+    exit_code,
     read_trace,
     run_benchmark,
     write_trace,
@@ -139,6 +142,36 @@ def _pure_quadratic(d=10, mu=1.0):
                      Dataset.from_dense(np.zeros((1, d)), np.zeros(1)))
 
 
+def _unbounded_pca():
+    # mu = 0.1 lies below the top eigenvalue of the sample covariance, so f is
+    # unbounded below along its eigenvector
+    A = np.random.default_rng(0).standard_normal((200, 5))
+    return LossModel("pca_quadratic", 0.1, Dataset.from_dense(A, np.zeros(200)))
+
+
+class TestDivergence:
+    def test_every_algorithm_stops_diverged(self):
+        model = _unbounded_pca()
+        x0 = np.ones(5)
+        f0 = full_value(model, x0)
+        for algo, solver in SOLVERS.items():
+            res = solver(model, SolverConfig(max_iters=2000), x0)
+            assert res.status == "diverged", (algo, res.status)
+            assert len(res.trace) <= 50, algo
+            assert not abs(res.f) <= 1e3 * abs(f0), algo
+            assert all(abs(r.f) <= 1e3 * abs(f0) for r in res.trace[:-1]), algo
+
+    def test_cli_exits_one_on_divergence(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "build_model", lambda dataset, lam: _unbounded_pca())
+        out = str(tmp_path / "{algo}.csv")
+        code = cli.main(["run", "--algo", ",".join(ALGORITHMS), "--synth", "200,5,0,1",
+                         "--x0-std", "1", "--max-iters", "2000", "--out", out])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert len(rows) == len(ALGORITHMS)
+        assert all("status=diverged" in r for r in rows), rows
+
+
 class TestBaselines:
     def test_agd_classical_rate_bound(self):
         # f(x_k) - f* <= 2 L R^2 / (k+1)^2 when the starting L already
@@ -183,7 +216,7 @@ class TestBaselines:
         cfg = SolverConfig(grad_tol=0.0, max_iters=500)
         res = sgd_run(model, cfg, np.full(6, 1.0), batch=10**6, step=1e3)
         assert res.status == "diverged"
-        assert _exit_code(res.status) == 1
+        assert exit_code(res.status) == 1
 
     def test_sgd_batch_validation(self):
         with pytest.raises(ValueError):
@@ -215,6 +248,25 @@ class TestBaselines:
         res = sgd_run(model, cfg, np.zeros(4), batch=2)
         assert res.status == "converged"
 
+    def test_lbfgs_line_search_failure_keeps_last_accepted_iterate(self, monkeypatch):
+        # f is +inf everywhere except x0 and the first accepted iterate, so the
+        # second line search exhausts its halvings
+        model = _quadratic_model()
+        x0 = np.full(6, 2.0)
+        x1 = lbfgs_run(model, SolverConfig(max_iters=1), x0).x
+        real = baselines.full_value
+
+        def value(m, x):
+            seen = np.array_equal(x, x0) or np.array_equal(x, x1)
+            return real(m, x) if seen else np.inf
+
+        monkeypatch.setattr(baselines, "full_value", value)
+        res = lbfgs_run(model, SolverConfig(max_iters=50), x0)
+        assert res.status == "linesearch_failed"
+        assert len(res.trace) == 2
+        assert np.array_equal(res.x, x1)
+        assert res.f == real(model, x1) == res.trace[-1].f
+
 
 class TestRunSpec:
     def test_validation(self):
@@ -230,12 +282,11 @@ class TestRunSpec:
             RunSpec(algo="sarc", synth=(10, 2, 0, 1.0), x0_std=-1.0)
 
     def test_exit_codes(self):
-        assert _exit_code("converged") == 0
-        assert _exit_code("stationary") == 0
-        assert _exit_code("max_iters") == 2
-        assert _exit_code("phase1_exhausted") == 2
-        assert _exit_code("diverged") == 1
-        assert _exit_code("linesearch_failed") == 1
+        expected = {"converged": 0, "stationary": 0, "max_iters": 2, "phase1_exhausted": 2,
+                    "diverged": 1, "linesearch_failed": 1}
+        assert EXIT_CODES == expected
+        assert all(exit_code(status) == code for status, code in expected.items())
+        assert exit_code("running") == 1  # a status outside the table is a failure
 
 
 class TestCliGrid:
@@ -270,7 +321,7 @@ class TestTraceIO:
     def test_csv_shape_and_header(self, tmp_path):
         out = str(tmp_path / "t.csv")
         res = run_benchmark(self._spec(out))
-        assert res.exit_code == 0
+        assert exit_code(res.status) == 0
         lines = open(out).read().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == len(res.trace) + 1
@@ -326,8 +377,17 @@ class TestTraceIO:
         for algo in ("sarc", "saarc", "sacr", "cr", "acr", "agd", "sgd", "lbfgs"):
             res = run_benchmark(RunSpec(algo=algo, synth=(60, 3, 1, 1.0), lam=1e-4,
                                         x0_std=1.0, grad_tol=1e-5, max_iters=400))
-            assert res.exit_code in (0, 2), (algo, res.status)
+            assert res.status in EXIT_CODES, (algo, res.status)
+            assert exit_code(res.status) in (0, 2), (algo, res.status)
             assert res.trace, algo
+
+    def test_zero_iteration_cap_records_the_start_only(self):
+        for algo in ALGORITHMS:
+            res = run_benchmark(RunSpec(algo=algo, synth=(60, 3, 1, 1.0), lam=1e-4,
+                                        x0_std=1.0, max_iters=0))
+            assert len(res.trace) == 1, algo
+            accelerated = algo in ("saarc", "sacr", "acr")
+            assert res.status == ("phase1_exhausted" if accelerated else "max_iters"), algo
 
     def test_benchmark_reg_scale_convention(self):
         # the harness objective uses (lam/2)||x||^2

@@ -10,6 +10,7 @@ the traces do not depend on the BLAS thread count.
     python tests/test_golden.py   # prints the current digests as JSON
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -19,7 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from sarc.bench import ALGORITHMS, CSV_HEADER, SOLVERS, RunSpec, run_benchmark, trace_rows
+from sarc.bench import (
+    ALGORITHMS,
+    CSV_HEADER,
+    EXIT_CODES,
+    SOLVERS,
+    RunSpec,
+    run_benchmark,
+    trace_rows,
+)
 from sarc.data import synth_logistic
 from sarc.problems import Dataset, LossModel
 from sarc.sarc_driver import SolverConfig, sarc_run
@@ -31,7 +40,7 @@ def _bench(algo, scheme="uniform", **overrides):
     def run():
         spec = RunSpec(algo=algo, synth=SYNTH, x0_std=1.0, max_iters=60, scheme=scheme,
                        config_overrides=overrides)
-        return run_benchmark(spec).trace
+        return run_benchmark(spec)
     return run
 
 
@@ -41,7 +50,7 @@ def _family(family, algo, scheme, **overrides):
         model = LossModel(family, 1e-3, synth_logistic(*SYNTH), reg_scale=0.5)
         cfg = SolverConfig(scheme=scheme, max_iters=40, seed=0, **overrides)
         x0 = np.random.default_rng(5).standard_normal(SYNTH[1])
-        return SOLVERS[algo](model, cfg, x0).trace
+        return SOLVERS[algo](model, cfg, x0)
     return run
 
 
@@ -49,7 +58,7 @@ def _criterion_8_pca():
     ds = Dataset.from_dense(np.zeros((500, 6)), np.zeros(500))
     model = LossModel("pca_quadratic", 1.0, ds)
     cfg = SolverConfig(fixed_sample_size=50, max_iters=10, grad_tol=0.0, seed=0)
-    return sarc_run(model, cfg, np.full(6, 1.5)).trace
+    return sarc_run(model, cfg, np.full(6, 1.5))
 
 
 SPECS = {f"bench_{algo}": _bench(algo) for algo in ALGORITHMS}
@@ -168,8 +177,13 @@ def trace_digests(trace) -> tuple[str, str]:
     return csv.hexdigest(), seq.hexdigest()
 
 
+@functools.cache
+def all_results() -> dict:
+    return {name: run() for name, run in SPECS.items()}
+
+
 def all_digests() -> dict:
-    return {name: list(trace_digests(run())) for name, run in SPECS.items()}
+    return {name: list(trace_digests(res.trace)) for name, res in all_results().items()}
 
 
 def test_traces_match_golden_digests():
@@ -177,6 +191,12 @@ def test_traces_match_golden_digests():
     assert set(got) == set(GOLDEN)
     changed = {name: got[name] for name in GOLDEN if got[name] != GOLDEN[name]}
     assert not changed
+
+
+def test_statuses_have_exit_codes():
+    # a leaked transient status ("running", say) has no exit code
+    statuses = {name: res.status for name, res in all_results().items()}
+    assert not {name: s for name, s in statuses.items() if s not in EXIT_CODES}
 
 
 def test_traces_do_not_depend_on_blas_threads():

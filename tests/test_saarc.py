@@ -8,13 +8,15 @@ from sarc.saarc_driver import (
     EstimatingSequence,
     _audit_sequence,
     grow_varsigma,
-    phase1_run,
+    phase1_step,
     phase2_step,
     relative_progress_trigger,
     saarc_run,
     sacr_run,
 )
 from sarc.sarc_driver import SolverConfig
+
+from phases import run_phase_one
 
 
 def _quadratic_model(n=30, d=5, seed=0, lam=1e-3):
@@ -132,7 +134,7 @@ class TestPhaseOne:
     def test_quadratic_switches_immediately(self):
         model = _quadratic_model()
         cfg = SolverConfig(exact_hessian=True, max_iters=50)
-        state = phase1_run(model, cfg, np.zeros(5))
+        state = run_phase_one(model, cfg, np.zeros(5))
         assert state.T1 == 1
         assert state.phase == "two"
         assert state.l == 1
@@ -145,13 +147,13 @@ class TestPhaseOne:
     def test_varsigma0_override(self):
         model = _quadratic_model()
         cfg = SolverConfig(exact_hessian=True, varsigma0=7.0)
-        state = phase1_run(model, cfg, np.zeros(5))
+        state = run_phase_one(model, cfg, np.zeros(5))
         assert state.seq.varsigma == 7.0
 
     def test_stationary_start(self):
         model = LossModel("pca_quadratic", 1.0,
                           Dataset.from_dense(np.zeros((1, 2)), np.zeros(1)))
-        state = phase1_run(model, SolverConfig(exact_hessian=True), np.zeros(2))
+        state = run_phase_one(model, SolverConfig(exact_hessian=True), np.zeros(2))
         assert state.terminal and state.status == "stationary"
 
     def test_rejection_keeps_state(self):
@@ -159,7 +161,7 @@ class TestPhaseOne:
         model = LossModel("reg_logistic", 0.0, Dataset.from_dense([[4.0]], [1.0]))
         cfg = SolverConfig(sigma_min=0.05, sigma0=0.05, eta=0.5, gamma1=2.0,
                            kappa_theta=0.03, exact_hessian=True, max_iters=1)
-        state = phase1_run(model, cfg, np.array([-1.0]))
+        state = saarc_run(model, cfg, np.array([-1.0]))
         row = state.trace[-1]
         assert row.success is False and row.phase == "one"
         assert state.phase == "one"
@@ -171,17 +173,25 @@ class TestPhaseOne:
         model = _logistic_model()
         cfg = SolverConfig(gamma1=2.0, max_iters=50)
         poison_next_step(np.nan)
-        state = phase1_run(model, cfg, np.ones(8))
+        state = run_phase_one(model, cfg, np.ones(8))
         first = state.trace[1]
         assert first.success is False and first.phase == "one"
         assert first.sigma == 2.0 * cfg.sigma0
         assert first.epochs == state.trace[0].epochs
         assert state.phase == "two"  # a later finite step passes the test
 
+    def test_phase1_step_requires_phase_one(self):
+        model = _quadratic_model()
+        cfg = SolverConfig(exact_hessian=True, max_iters=50)
+        state = run_phase_one(model, cfg, np.zeros(5))
+        assert state.phase == "two"
+        with pytest.raises(RuntimeError):
+            phase1_step(state, model, cfg)
+
     def test_phase2_step_requires_phase_two(self):
         model = _quadratic_model()
         cfg = SolverConfig(exact_hessian=True, max_iters=0)
-        state = phase1_run(model, cfg, np.zeros(5))
+        state = run_phase_one(model, cfg, np.zeros(5))
         assert state.phase == "one"
         with pytest.raises(RuntimeError):
             phase2_step(state, model, cfg)
@@ -192,7 +202,7 @@ class TestPhaseTwo:
     def test_non_finite_trial_point_is_rejected(self, poison_next_step, value):
         model = _logistic_model()
         cfg = SolverConfig(gamma1=2.0, max_iters=50)
-        state = phase1_run(model, cfg, np.ones(8))
+        state = run_phase_one(model, cfg, np.ones(8))
         assert state.phase == "two"
         x, y, sigma, epochs, l = state.x.copy(), state.y.copy(), state.sigma, state.ledger.epochs, state.l
 
@@ -243,7 +253,7 @@ class TestSaarcRun:
     def test_audit_catches_corrupted_minimizer(self):
         model = _quadratic_model(seed=7)
         cfg = SolverConfig(exact_hessian=True, max_iters=30)
-        state = phase1_run(model, cfg, np.full(5, 2.0))
+        state = run_phase_one(model, cfg, np.full(5, 2.0))
         assert state.phase == "two"
         phase2_step(state, model, cfg)
         z = state.seq.argmin()
@@ -288,6 +298,19 @@ class TestSacr:
             if row.success:
                 assert row.f <= f_prev + 1e-12
                 f_prev = row.f
+
+    def test_switch_on_the_last_allowed_iteration(self):
+        model = _logistic_model()
+        cfg = SolverConfig(grad_tol=1e-9, max_iters=300, seed=3)
+        x0 = np.random.default_rng(0).standard_normal(8) * 3.0
+        k = sacr_run(model, cfg, x0).switch_iteration
+        assert k is not None and k > 0
+        res = sacr_run(model, SolverConfig(grad_tol=1e-9, max_iters=k, seed=3), x0)
+        assert res.status == "max_iters"
+        assert res.phase == "sarc"
+        assert res.switch_iteration == k
+        assert len(res.trace) == k + 1
+        assert res.trace[-1].phase in ("one", "two") and res.trace[-1].success
 
     def test_no_switch_when_converged_first(self):
         model = _quadratic_model(seed=9)

@@ -200,15 +200,15 @@ class TestResolvePlan:
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            SamplingPlan("uniform", 0.5, 0.1, 0, False)
+            SamplingPlan("uniform", 0.5, 0, False)
         with pytest.raises(ValueError):
-            SamplingPlan("nonuniform", 0.5, 0.1, 3, False,
+            SamplingPlan("nonuniform", 0.5, 3, False,
                          probabilities=np.array([0.5, 0.4]))
 
 
 class TestSampleStream:
     def test_same_seed_same_draws(self):
-        plan = SamplingPlan("uniform", 0.5, 0.1, 50, False)
+        plan = SamplingPlan("uniform", 0.5, 50, False)
         a = SampleStream(42).draw(plan, 100)
         b = SampleStream(42).draw(plan, 100)
         assert np.array_equal(a, b)
@@ -216,7 +216,7 @@ class TestSampleStream:
 
     def test_draw_log(self):
         stream = SampleStream(0)
-        plan = SamplingPlan("uniform", 0.5, 0.1, 10, False)
+        plan = SamplingPlan("uniform", 0.5, 10, False)
         stream.draw(plan, 100)
         stream.draw(plan, 100)
         assert stream.draw_log == [(0, "uniform", 10), (1, "uniform", 10)]
@@ -224,7 +224,7 @@ class TestSampleStream:
     def test_nonuniform_respects_probabilities(self):
         p = np.zeros(5)
         p[2] = 1.0
-        plan = SamplingPlan("nonuniform", 0.5, 0.1, 20, False, probabilities=p, p_min=1.0)
+        plan = SamplingPlan("nonuniform", 0.5, 20, False, probabilities=p, p_min=1.0)
         idx = SampleStream(7).draw(plan, 5)
         assert np.all(idx == 2)
 
