@@ -9,8 +9,6 @@ from .cubic import (
     SubproblemResult,
     TerminationSpec,
     minimize_model,
-    model_gradient,
-    model_value,
     solve_tridiagonal_cubic,
 )
 from .data import LibsvmFormatError, parse_libsvm, synth_logistic
@@ -20,9 +18,7 @@ from .problems import (
     LipschitzInfo,
     LossModel,
     batch_gradient,
-    component_hvp,
     curvature_vector,
-    dense_hessian,
     full_gradient,
     full_value,
     lipschitz_bounds,
@@ -44,7 +40,6 @@ from .sampling import (
     resolve_plan,
     sample_size_nonuniform,
     sample_size_uniform,
-    spectral_error,
 )
 from .sarc_driver import SolverConfig, SolverState, TraceRecord, run, sarc_init, sarc_run, sarc_step
 
@@ -53,16 +48,14 @@ __all__ = [
     "BaselineResult", "acr_run", "agd_run", "cr_run", "lbfgs_run", "sgd_run",
     "EXIT_CODES", "RunSpec", "exit_code", "read_trace", "run_benchmark", "write_trace",
     "CubicModel", "SubproblemResult", "TerminationSpec",
-    "minimize_model", "model_gradient", "model_value",
-    "solve_tridiagonal_cubic",
+    "minimize_model", "solve_tridiagonal_cubic",
     "LibsvmFormatError", "parse_libsvm", "synth_logistic",
     "Dataset", "DegenerateCurvatureError", "LipschitzInfo", "LossModel",
-    "batch_gradient", "component_hvp", "curvature_vector", "dense_hessian",
-    "full_gradient", "full_value", "lipschitz_bounds",
+    "batch_gradient", "curvature_vector", "full_gradient", "full_value", "lipschitz_bounds",
     "EstimatingSequence", "phase1_step", "phase2_step", "saarc_run", "sacr_run",
     "SamplingPlan", "SampleStream", "SubsampledHessian",
     "lemma_nonuniform_bound", "lemma_uniform_bound",
     "nonuniform_distribution", "resolve_plan",
-    "sample_size_nonuniform", "sample_size_uniform", "spectral_error",
+    "sample_size_nonuniform", "sample_size_uniform",
     "SolverConfig", "SolverState", "TraceRecord", "run", "sarc_init", "sarc_run", "sarc_step",
 ]

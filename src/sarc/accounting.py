@@ -35,10 +35,3 @@ class EpochLedger:
     @property
     def epochs(self) -> float:
         return (self.component_gradient_queries + self.component_hessian_queries) / self.n
-
-    def snapshot(self) -> dict:
-        return {
-            "gradient_queries": self.component_gradient_queries,
-            "hessian_queries": self.component_hessian_queries,
-            "epochs": self.epochs,
-        }

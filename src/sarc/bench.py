@@ -76,7 +76,7 @@ def build_model(dataset: Dataset, lam: float) -> LossModel:
 EXIT_CODES = {
     "converged": 0, "stationary": 0,
     "max_iters": 2, "phase1_exhausted": 2,
-    "diverged": 1, "linesearch_failed": 1,
+    "diverged": 1, "linesearch_failed": 1, "sequence_growth_failed": 1,
 }
 
 

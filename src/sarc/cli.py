@@ -4,12 +4,12 @@
 
 Exit codes (`bench.EXIT_CODES`): 0 when the gradient tolerance is reached,
 2 on the iteration cap, 1 on any error (including usage errors, diverged
-runs and line-search failures). Multiple comma-separated algorithms/seeds
-expand to a grid of runs; --jobs runs them in parallel, and --out must then
-contain {algo} / {seed} placeholders as needed to keep output files
-distinct. A run that raises prints a `status=error:<ExceptionType>` row
-(message and traceback on stderr) and the other rows are kept; any error
-row makes the exit code 1.
+runs, line-search failures and failed estimating-sequence growth).
+Multiple comma-separated algorithms/seeds expand to a grid of runs; --jobs
+runs them in parallel, and --out must then contain {algo} / {seed}
+placeholders as needed to keep output files distinct. A run that raises
+prints a `status=error:<ExceptionType>` row (message and traceback on
+stderr) and the other rows are kept; any error row makes the exit code 1.
 """
 
 from __future__ import annotations

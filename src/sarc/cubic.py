@@ -255,20 +255,6 @@ def solve_tridiagonal_cubic(
     return best_y
 
 
-def model_gradient(model: CubicModel, s: np.ndarray) -> np.ndarray:
-    """grad m(s) = g + H s + sigma ||s|| s (one operator application)."""
-    s = np.asarray(s, dtype=float).ravel()
-    return model.g + model.H.matvec(s) + model.sigma * np.linalg.norm(s) * s
-
-
-def model_value(model: CubicModel, s: np.ndarray) -> float:
-    s = np.asarray(s, dtype=float).ravel()
-    sn = np.linalg.norm(s)
-    return float(
-        model.f0 + model.g @ s + 0.5 * (s @ model.H.matvec(s)) + model.sigma / 3.0 * sn**3
-    )
-
-
 def minimize_model(
     model: CubicModel,
     spec: TerminationSpec,

@@ -1,17 +1,16 @@
 """Finite-sum losses with component-wise first- and second-order oracles.
 
-The objective is f(x) = (1/n) sum_i f_i(x). Four families are supported:
+The objective is f(x) = (1/n) sum_i f_i(x) + c^T x for four families:
 
 - ridge_least_squares: f_i = (a_i^T x - b_i)^2 + reg_scale*lam*||x||^2
 - reg_logistic:        f_i = ln(1 + exp(-b_i a_i^T x)) + reg_scale*lam*||x||^2
 - nonconvex_svm:       f_i = 1 - tanh(b_i a_i^T x) + reg_scale*lam*||x||^2
-- pca_quadratic:       f_j = 0.5 x^T (mu I - a_j a_j^T) x + c^T x   (lam holds mu)
+- pca_quadratic:       f_i = -(a_i^T x)^2 / 2 + (mu/2)*||x||^2   (lam holds mu)
 
-The first three are generalized linear models: the data term is
-fhat_j(a_j^T x), so the component Hessian is fhat_j''(a_j^T x) a_j a_j^T plus
-the regularizer curvature, and the scalar curvature fhat_j'' drives the
-non-uniform sampling distribution. pca_quadratic is not of that form and only
-supports uniform sampling.
+All four are generalized linear models: the data term is fhat_i(a_i^T x), so
+the component Hessian is fhat_i''(a_i^T x) a_i a_i^T plus the regularizer
+curvature 2*reg_scale*lam I (the linear term c adds none), and the scalar
+curvature fhat_i'' drives the non-uniform sampling distribution.
 
 Gradients are always exact full-batch; only Hessians are ever sub-sampled.
 The ridge term is folded into every component so that sub-sampling averages
@@ -29,34 +28,32 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-FAMILIES = ("ridge_least_squares", "reg_logistic", "nonconvex_svm", "pca_quadratic")
-
 
 @dataclass(frozen=True)
 class GlmFamily:
     """Data term fhat(t) of a generalized linear family at margins t, labels b.
 
     `link` maps (t, b) elementwise to the one transcendental every other map
-    shares: expit(-b t) for logistic, tanh(b t) for the SVM, t for ridge.
-    `value`, `slope` and `curvature` map (t, b, link value) to fhat, fhat' and
-    fhat''; `curvature_bound` is sup_t |fhat''(t)| for labels in {-1, +1}.
+    shares: expit(-b t) for logistic, tanh(b t) for the SVM, t for ridge and
+    pca. `value`, `slope` and `curvature` map (t, b, link value) to fhat,
+    fhat' and fhat''; `curvature_range` is (inf, sup) of fhat''(t) for labels
+    in {-1, +1}.
     """
 
     link: Callable
     value: Callable
     slope: Callable
     curvature: Callable
-    curvature_bound: float
+    curvature_range: tuple[float, float]
 
 
-# Families whose data term is fhat_j(a_j^T x) (generalized linear form).
 GLM_FAMILIES = {
     "ridge_least_squares": GlmFamily(
         link=lambda t, b: t,
         value=lambda t, b, u: np.square(t - b),
         slope=lambda t, b, u: 2.0 * (t - b),
         curvature=lambda t, b, u: np.full(np.shape(t), 2.0),
-        curvature_bound=2.0,
+        curvature_range=(2.0, 2.0),
     ),
     "reg_logistic": GlmFamily(
         # d^2/dt^2 ln(1+exp(-b t)) = b^2 s(1-s) with s = sigmoid(-b t)
@@ -64,7 +61,7 @@ GLM_FAMILIES = {
         value=lambda t, b, s: np.logaddexp(0.0, -b * t),
         slope=lambda t, b, s: -b * s,
         curvature=lambda t, b, s: b * b * s * (1.0 - s),
-        curvature_bound=0.25,
+        curvature_range=(0.0, 0.25),
     ),
     "nonconvex_svm": GlmFamily(
         # d^2/dt^2 (1 - tanh(b t)) = 2 b^2 tanh(b t) sech^2(b t)
@@ -73,9 +70,17 @@ GLM_FAMILIES = {
         slope=lambda t, b, u: -b * (1.0 - u * u),
         curvature=lambda t, b, u: 2.0 * b * b * u * (1.0 - u * u),
         # max |d^2/dt^2 (1 - tanh t)| = 4/(3*sqrt(3)), attained where tanh^2 t = 1/3
-        curvature_bound=4.0 / (3.0 * np.sqrt(3.0)),
+        curvature_range=(-4.0 / (3.0 * np.sqrt(3.0)), 4.0 / (3.0 * np.sqrt(3.0))),
+    ),
+    "pca_quadratic": GlmFamily(
+        link=lambda t, b: t,
+        value=lambda t, b, u: -0.5 * u * u,
+        slope=lambda t, b, u: -u,
+        curvature=lambda t, b, u: np.full(np.shape(t), -1.0),
+        curvature_range=(-1.0, -1.0),
     ),
 }
+FAMILIES = tuple(GLM_FAMILIES)
 
 
 class DegenerateCurvatureError(ValueError):
@@ -115,9 +120,6 @@ class Dataset:
     def d(self) -> int:
         return self.A.shape[1]
 
-    def row(self, j: int) -> np.ndarray:
-        return np.asarray(self.A.getrow(j).todense()).ravel()
-
     def row_sq_norms(self) -> np.ndarray:
         if not hasattr(self, "_row_sq"):
             self._row_sq = np.asarray(self.A.multiply(self.A).sum(axis=1)).ravel()
@@ -135,12 +137,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class PointEval:
-    """Margins t = A x, the family's link value (None for pca_quadratic) and,
-    once asked for, the curvature fhat''(t) at one point; all read-only."""
+    """Margins t = A x, the family's link value and, once asked for, the
+    curvature fhat''(t) at one point; all read-only."""
 
     key: bytes  # x.tobytes() of the point
     t: np.ndarray
-    link: np.ndarray | None
+    link: np.ndarray
     curvature: np.ndarray | None = None
 
 
@@ -148,9 +150,10 @@ class PointEval:
 class LossModel:
     """A named loss family bound to a dataset.
 
-    `lam` is the regularization weight; for pca_quadratic it holds the shift mu
-    instead (the library does not verify mu >= lambda_max of the covariance).
-    `linear` is the fixed linear-term vector of pca_quadratic (defaults to 0).
+    `lam` is the regularization weight; for pca_quadratic it is the shift mu,
+    with `reg_scale` forced to 1/2 so that the component Hessian is
+    mu I - a_j a_j^T (mu >= lambda_max of the covariance is not verified).
+    `linear` is the vector c of the linear term c^T x (defaults to 0).
     The last point's margins and link value are cached (`at`), so the value,
     gradient, curvature sweep and Hessian build at one point read A once.
     """
@@ -174,11 +177,12 @@ class LossModel:
                     f"{self.family} needs labels in {{-1,+1}}, got {labels}"
                 )
         if self.family == "pca_quadratic":
-            if self.linear is None:
-                self.linear = np.zeros(self.dataset.d)
-            self.linear = np.asarray(self.linear, dtype=float).ravel()
-            if self.linear.shape[0] != self.dataset.d:
-                raise ValueError("linear term dimension mismatch")
+            self.reg_scale = 0.5
+        if self.linear is None:
+            self.linear = np.zeros(self.dataset.d)
+        self.linear = np.asarray(self.linear, dtype=float).ravel()
+        if self.linear.shape[0] != self.dataset.d:
+            raise ValueError("linear term dimension mismatch")
 
     @property
     def n(self) -> int:
@@ -190,12 +194,7 @@ class LossModel:
 
     def reg_curvature(self) -> float:
         """Hessian contribution of the per-component regularizer (a multiple of I)."""
-        if self.family == "pca_quadratic":
-            return self.lam  # mu I part of every component
         return 2.0 * self.reg_scale * self.lam
-
-    def is_glm(self) -> bool:
-        return self.family in GLM_FAMILIES
 
     def at(self, x: np.ndarray) -> PointEval:
         """Margins and link value at a checked point x, from a one-entry cache.
@@ -207,8 +206,7 @@ class LossModel:
         p = self._point
         if p is None or p.key != key:
             t = _readonly(self.dataset.A @ x)
-            fam = GLM_FAMILIES.get(self.family)
-            link = None if fam is None else _readonly(fam.link(t, self.dataset.b))
+            link = _readonly(GLM_FAMILIES[self.family].link(t, self.dataset.b))
             p = self._point = PointEval(key, t, link)
         return p
 
@@ -223,10 +221,8 @@ def _check_point(model: LossModel, x: np.ndarray) -> np.ndarray:
 
 
 def curvature_vector(model: LossModel, x: np.ndarray) -> np.ndarray:
-    """fhat_j''(a_j^T x) for every component of a generalized linear family
-    (read-only; cached with the margins at x)."""
-    if not model.is_glm():
-        raise ValueError(f"{model.family} is not of generalized linear form")
+    """fhat_j''(a_j^T x) for every component (read-only; cached with the
+    margins at x)."""
     p = model.at(_check_point(model, x))
     if p.curvature is None:
         curv = GLM_FAMILIES[model.family].curvature(p.t, model.dataset.b, p.link)
@@ -235,26 +231,19 @@ def curvature_vector(model: LossModel, x: np.ndarray) -> np.ndarray:
 
 
 def full_value(model: LossModel, x: np.ndarray) -> float:
-    """f(x) = (1/n) sum_i f_i(x)."""
+    """f(x) = (1/n) sum_i f_i(x) + c^T x."""
     x = _check_point(model, x)
     p = model.at(x)
-    if model.is_glm():
-        reg = model.reg_scale * model.lam * float(x @ x)
-        fam = GLM_FAMILIES[model.family]
-        return float(np.mean(fam.value(p.t, model.dataset.b, p.link))) + reg
-    # pca_quadratic: (1/n) sum_j [0.5 x^T(mu I - a_j a_j^T)x] + c^T x
-    mu = model.lam
-    return float(0.5 * mu * (x @ x) - 0.5 * np.mean(p.t * p.t) + model.linear @ x)
+    reg = model.reg_scale * model.lam * float(x @ x)
+    fam = GLM_FAMILIES[model.family]
+    return float(np.mean(fam.value(p.t, model.dataset.b, p.link)) + reg + model.linear @ x)
 
 
 def _mean_gradient(model: LossModel, x: np.ndarray, A, b: np.ndarray,
-                   t: np.ndarray, link: np.ndarray | None) -> np.ndarray:
+                   t: np.ndarray, link: np.ndarray) -> np.ndarray:
     """Mean of the component gradients over the rows (A, b) at margins t = A x."""
-    m = A.shape[0]
-    if not model.is_glm():
-        return model.lam * x - (A.T @ t) / m + model.linear
     w = GLM_FAMILIES[model.family].slope(t, b, link)
-    return (A.T @ w) / m + 2.0 * model.reg_scale * model.lam * x
+    return (A.T @ w) / A.shape[0] + model.reg_curvature() * x + model.linear
 
 
 def full_gradient(model: LossModel, x: np.ndarray) -> np.ndarray:
@@ -275,36 +264,8 @@ def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.n
         raise IndexError("batch index out of range")
     A, b = model.dataset.A[indices], model.dataset.b[indices]
     t = A @ x
-    link = GLM_FAMILIES[model.family].link(t, b) if model.is_glm() else None
+    link = GLM_FAMILIES[model.family].link(t, b)
     return _mean_gradient(model, x, A, b, t, link)
-
-
-def component_hvp(model: LossModel, j: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hessian-vector product of component j without forming the matrix."""
-    if not 0 <= j < model.n:
-        raise IndexError(f"component index {j} out of range [0, {model.n})")
-    x = _check_point(model, x)
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape[0] != model.d:
-        raise ValueError("v dimension mismatch")
-    a = model.dataset.row(j)
-    if model.family == "pca_quadratic":
-        return model.lam * v - (a @ v) * a
-    curv = scalar_second_derivative(model, j, x)
-    return curv * (a @ v) * a + model.reg_curvature() * v
-
-
-def scalar_second_derivative(model: LossModel, j: int, x: np.ndarray) -> float:
-    """fhat_j''(a_j^T x); may be negative for nonconvex_svm."""
-    if not model.is_glm():
-        raise ValueError(f"{model.family} has no scalar-curvature form")
-    if not 0 <= j < model.n:
-        raise IndexError(f"component index {j} out of range [0, {model.n})")
-    x = _check_point(model, x)
-    t = (model.dataset.A.getrow(j) @ x)[0]
-    b = model.dataset.b[j]
-    fam = GLM_FAMILIES[model.family]
-    return float(fam.curvature(t, b, fam.link(t, b)))
 
 
 @dataclass
@@ -323,35 +284,14 @@ class LipschitzInfo:
 def lipschitz_bounds(model: LossModel) -> LipschitzInfo:
     """Analytic gradient-Lipschitz bounds for the components (||.|| spectral).
 
-    GLM families: L_j = sup|fhat''| ||a_j||^2 + reg curvature, with sup|fhat''|
-    = 2 (ridge), 1/4 (logistic), 4/(3 sqrt 3) (nonconvex SVM).
-    pca_quadratic: L_j = max(mu, |mu - ||a_j||^2|).
+    The eigenvalues of fhat_j'' a_j a_j^T + reg I are reg and
+    fhat_j'' ||a_j||^2 + reg, so fhat'' in [lo, hi] gives L_j = max(reg,
+    |lo ||a_j||^2 + reg|, |hi ||a_j||^2 + reg|): sup|fhat''| ||a_j||^2 + reg
+    for ridge, logistic and the SVM, max(mu, |mu - ||a_j||^2|) for pca.
     """
     sq = model.dataset.row_sq_norms()
-    if model.is_glm():
-        per = GLM_FAMILIES[model.family].curvature_bound * sq + model.reg_curvature()
-    else:
-        mu = model.lam
-        per = np.maximum(mu, np.abs(mu - sq))
+    reg = model.reg_curvature()
+    lo, hi = GLM_FAMILIES[model.family].curvature_range
+    per = np.maximum(reg, np.maximum(np.abs(lo * sq + reg), np.abs(hi * sq + reg)))
     return LipschitzInfo(L=float(np.max(per)), Lbar=float(np.mean(per)), per_component=per)
 
-
-def dense_hessian(model: LossModel, x: np.ndarray, dense_cap: int = 400) -> np.ndarray:
-    """Explicit (d x d) Hessian of f; test instrumentation only.
-
-    Refuses d above `dense_cap` so production paths cannot materialize it by
-    accident.
-    """
-    if model.d > dense_cap:
-        raise ValueError(f"d={model.d} exceeds dense cap {dense_cap}")
-    x = _check_point(model, x)
-    A = model.dataset.A
-    n = model.n
-    if model.family == "pca_quadratic":
-        mu = model.lam
-        return mu * np.eye(model.d) - (A.T @ A).toarray() / n
-    curv = curvature_vector(model, x)
-    scaled = A.multiply(curv[:, None] / n)
-    H = (A.T @ scaled).toarray()
-    H += model.reg_curvature() * np.eye(model.d)
-    return 0.5 * (H + H.T)

@@ -11,7 +11,8 @@ whose closed-form minimizer z_l drives the extrapolation point
 y_l = l/(l+3) xbar_l + 3/(l+3) z_l. A trial step s at y_l is accepted when
 rho = -s . grad f(y_l + s) / ||s||^3 >= eta. On success the sequence gains the
 linear term of the new point with weight l(l+1)/2, and varsigma grows by
-gamma3 factors until psi_l(z_l) >= (l(l+1)(l+2)/6) f(xbar_l).
+gamma3 factors until psi_l(z_l) >= (l(l+1)(l+2)/6) f(xbar_l); a growth that
+hits its cap or overflows ends the run with status "sequence_growth_failed".
 
 Successful iterations update the Hessian tolerance from the gradient at the
 next extrapolation point, eps = min(1, (1-kappa_theta)||grad f(y_l)||/2),
@@ -76,21 +77,27 @@ class EstimatingSequence:
         self.lin_grad = self.lin_grad + coeff * grad
 
 
+class SequenceGrowthError(RuntimeError):
+    """varsigma reached its growth cap or overflowed before psi(argmin)
+    reached the threshold."""
+
+
 def grow_varsigma(seq: EstimatingSequence, threshold: float, gamma3: float,
                   cap: int = 10000) -> tuple[np.ndarray, int]:
     """Multiply varsigma by gamma3 until psi(argmin) >= threshold.
 
     Returns the final minimizer and the number of multiplications (each one
     counts toward T3). The cap guards against objectives outside the convex
-    theory, where the loop need not terminate.
+    theory, where the loop need not terminate; an overflow to inf stops it
+    the same way, since psi(argmin) is nan (inf * 0) from there on.
     """
     z = seq.argmin()
     growths = 0
     while seq.psi_value(z) < threshold:
         seq.varsigma *= gamma3
         growths += 1
-        if growths > cap:
-            raise RuntimeError("estimating-sequence weight growth did not terminate")
+        if growths > cap or not np.isfinite(seq.varsigma):
+            raise SequenceGrowthError("estimating-sequence weight growth did not terminate")
         z = seq.argmin()
     return z, growths
 
@@ -107,7 +114,7 @@ def _audit_sequence(state: SolverState, config: SolverConfig, z: np.ndarray, thr
     """Numeric guards on the estimating sequence at every successful step."""
     seq = state.seq
     psi_z = seq.psi_value(z)
-    if psi_z < threshold:
+    if not psi_z >= threshold:  # nan fails too
         raise AssertionError(
             f"estimating-sequence lower bound violated: psi(z)={psi_z} < {threshold}"
         )
@@ -117,7 +124,7 @@ def _audit_sequence(state: SolverState, config: SolverConfig, z: np.ndarray, thr
         1e-300,
     )
     resid = float(np.linalg.norm(seq.psi_grad(z)))
-    if resid > 1e-10 * scale:
+    if not resid <= 1e-10 * scale:
         raise AssertionError(f"psi minimizer residual {resid} exceeds 1e-10 relative")
     if config.psi_probes:
         d = z.shape[0]
@@ -211,7 +218,12 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     seq = state.seq
     seq.add_point(x_trial, f_new, grad_trial, l_new * (l_new + 1) / 2.0)
     threshold = l_new * (l_new + 1) * (l_new + 2) / 6.0 * f_new
-    z, growths = grow_varsigma(seq, threshold, config.gamma3)
+    try:
+        z, growths = grow_varsigma(seq, threshold, config.gamma3)
+    except SequenceGrowthError:
+        _end(state, "sequence_growth_failed")
+        _record(state, success=False)
+        return state
     state.T3 += growths
     _audit_sequence(state, config, z, threshold)
 

@@ -20,15 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .problems import (
-    GLM_FAMILIES,
-    DegenerateCurvatureError,
-    LossModel,
-    curvature_vector,
-    dense_hessian,
-)
+from .problems import GLM_FAMILIES, DegenerateCurvatureError, LossModel, curvature_vector
 
 
 def _uniform_bound(eps: float, per_iter_delta: float, L: float, d: int) -> float:
@@ -153,7 +146,7 @@ def resolve_plan(
 ) -> SamplingPlan:
     """Pick scheme, size, and (for non-uniform) the weight vector at x.
 
-    Non-GLM families and degenerate curvature silently fall back to uniform.
+    Degenerate curvature silently falls back to uniform.
     `fixed_size` overrides the formula (scripted tests); the cap still applies.
     """
     if not (0.0 < eps_i <= 1.0):
@@ -167,14 +160,11 @@ def resolve_plan(
 
     p = p_min = None
     if scheme == "nonuniform":
-        if not model.is_glm():
+        try:
+            p, p_min = nonuniform_distribution(model, x)
+            sweeps = 1
+        except DegenerateCurvatureError:
             scheme = "uniform"
-        else:
-            try:
-                p, p_min = nonuniform_distribution(model, x)
-                sweeps = 1
-            except DegenerateCurvatureError:
-                scheme = "uniform"
 
     size_uni = sample_size_uniform(eps_half, per_iter_delta, lip.L, d, n)
     downgraded = requested == "nonuniform" and scheme == "uniform"
@@ -266,22 +256,14 @@ class SubsampledHessian:
         self._w_sum = float(w.sum())
         self._A_S = model.dataset.A if plan.exact else model.dataset.A[idx]
 
-        if model.family == "pca_quadratic":
-            self._coeffs = -w
-            self._diag = self._w_sum * model.lam
+        if plan.exact:
+            curv = curvature_vector(model, self.x)
         else:
-            if plan.exact:
-                curv = curvature_vector(model, self.x)
-            else:
-                p = model.at(self.x)
-                b = model.dataset.b[idx]
-                curv = GLM_FAMILIES[model.family].curvature(p.t[idx], b, p.link[idx])
-            self._coeffs = w * curv
-            self._diag = self._w_sum * model.reg_curvature()
-
-    @property
-    def d(self) -> int:
-        return self.model.d
+            p = model.at(self.x)
+            b = model.dataset.b[idx]
+            curv = GLM_FAMILIES[model.family].curvature(p.t[idx], b, p.link[idx])
+        self._coeffs = w * curv
+        self._diag = self._w_sum * model.reg_curvature()
 
     @property
     def indices(self) -> np.ndarray:
@@ -292,33 +274,3 @@ class SubsampledHessian:
         out = self._A_S.T @ (self._coeffs * (self._A_S @ v))
         out += (self._diag + self.shift) * v
         return out
-
-    __call__ = matvec
-
-    def quad(self, v: np.ndarray) -> float:
-        return float(v @ self.matvec(v))
-
-    def unshifted_dense(self, dense_cap: int = 400) -> np.ndarray:
-        """Explicit H~(x) without the shift; test instrumentation only."""
-        if self.d > dense_cap:
-            raise ValueError(f"d={self.d} exceeds dense cap {dense_cap}")
-        if sp.issparse(self._A_S):
-            scaled = self._A_S.multiply(self._coeffs[:, None])
-            H = (self._A_S.T @ scaled).toarray()
-        else:
-            H = self._A_S.T @ (self._coeffs[:, None] * self._A_S)
-        H += self._diag * np.eye(self.d)
-        return 0.5 * (H + H.T)
-
-
-def spectral_error(op: SubsampledHessian, model: LossModel, x: np.ndarray,
-                   dense_cap: int = 400) -> float:
-    """|| H~(x) - nabla^2 f(x) ||_2 via a dense reference; test instrumentation.
-
-    Compares the operator minus its shift against the exact Hessian. Refuses
-    d above `dense_cap`.
-    """
-    if model.d > dense_cap:
-        raise ValueError(f"d={model.d} exceeds dense cap {dense_cap}")
-    diff = op.unshifted_dense(dense_cap) - dense_hessian(model, x, dense_cap)
-    return float(np.max(np.abs(np.linalg.eigvalsh(diff))))

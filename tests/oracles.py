@@ -2,7 +2,9 @@
 
 Everything here is deliberately written with different methods from the
 library: finite differences instead of analytic formulas, a dense eigenbasis
-secular solve instead of Lanczos, so agreement is meaningful.
+secular solve instead of Lanczos, explicit d x d Hessians instead of
+operators, so agreement is meaningful. The dense references refuse d above
+`dense_cap`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,85 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from sarc.problems import Dataset, LossModel
+from sarc.problems import GLM_FAMILIES, Dataset, LossModel, curvature_vector
+
+
+def row(dataset: Dataset, j: int) -> np.ndarray:
+    """Row a_j of the data matrix as a dense vector."""
+    return np.asarray(dataset.A.getrow(j).todense()).ravel()
+
+
+def scalar_second_derivative(model: LossModel, j: int, x: np.ndarray) -> float:
+    """fhat_j''(a_j^T x) from one row, without the model's point cache."""
+    if not 0 <= j < model.n:
+        raise IndexError(f"component index {j} out of range [0, {model.n})")
+    t = float(row(model.dataset, j) @ np.asarray(x, dtype=float))
+    b = model.dataset.b[j]
+    fam = GLM_FAMILIES[model.family]
+    return float(fam.curvature(t, b, fam.link(t, b)))
+
+
+def component_hvp(model: LossModel, j: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hessian-vector product of component j: fhat_j'' (a_j.v) a_j + reg v."""
+    curv = scalar_second_derivative(model, j, x)
+    a = row(model.dataset, j)
+    return curv * (a @ v) * a + model.reg_curvature() * np.asarray(v, dtype=float)
+
+
+def dense_hessian(model: LossModel, x: np.ndarray, dense_cap: int = 400) -> np.ndarray:
+    """Explicit (d x d) Hessian of f: (1/n) A^T diag(fhat'') A + reg I."""
+    if model.d > dense_cap:
+        raise ValueError(f"d={model.d} exceeds dense cap {dense_cap}")
+    A = model.dataset.A.toarray()
+    H = A.T @ (curvature_vector(model, x)[:, None] / model.n * A)
+    H += model.reg_curvature() * np.eye(model.d)
+    return 0.5 * (H + H.T)
+
+
+def unshifted_dense(op, dense_cap: int = 400) -> np.ndarray:
+    """Explicit H~(x) of a SubsampledHessian, without its shift."""
+    d = op.model.d
+    if d > dense_cap:
+        raise ValueError(f"d={d} exceeds dense cap {dense_cap}")
+    A_S = op._A_S.toarray()
+    H = A_S.T @ (op._coeffs[:, None] * A_S) + op._diag * np.eye(d)
+    return 0.5 * (H + H.T)
+
+
+def spectral_error(op, model: LossModel, x: np.ndarray, dense_cap: int = 400) -> float:
+    """|| H~(x) - nabla^2 f(x) ||_2: the operator minus its shift against the
+    exact Hessian."""
+    diff = unshifted_dense(op, dense_cap) - dense_hessian(model, x, dense_cap)
+    return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def quad(op, v: np.ndarray) -> float:
+    """The quadratic form v^T H v of an operator."""
+    return float(v @ op.matvec(v))
+
+
+def model_gradient(model, s: np.ndarray) -> np.ndarray:
+    """grad m(s) = g + H s + sigma ||s|| s of a CubicModel, in full space."""
+    s = np.asarray(s, dtype=float).ravel()
+    return model.g + model.H.matvec(s) + model.sigma * np.linalg.norm(s) * s
+
+
+def model_value(model, s: np.ndarray) -> float:
+    """m(s) = f0 + g.s + 0.5 s.Hs + (sigma/3) ||s||^3 of a CubicModel."""
+    s = np.asarray(s, dtype=float).ravel()
+    sn = np.linalg.norm(s)
+    return float(
+        model.f0 + model.g @ s + 0.5 * (s @ model.H.matvec(s)) + model.sigma / 3.0 * sn**3
+    )
+
+
+def snapshot(ledger) -> dict:
+    """An EpochLedger's counters and epochs as a dict."""
+    return {
+        "gradient_queries": ledger.component_gradient_queries,
+        "hessian_queries": ledger.component_hessian_queries,
+        "epochs": ledger.epochs,
+    }
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -17,14 +17,11 @@ from sarc.cubic import (
     CubicModel,
     TerminationSpec,
     minimize_model,
-    model_gradient,
-    model_value,
 )
 from sarc.data import synth_logistic
 from sarc.problems import (
     Dataset,
     LossModel,
-    dense_hessian,
     full_gradient,
     full_value,
     lipschitz_bounds,
@@ -35,7 +32,6 @@ from sarc.sampling import (
     SubsampledHessian,
     lemma_uniform_bound,
     resolve_plan,
-    spectral_error,
 )
 from sarc.saarc_driver import (
     _audit_sequence,
@@ -47,11 +43,17 @@ from sarc.sarc_driver import SolverConfig, sarc_run
 
 from oracles import (
     cubic_global_min,
+    dense_hessian,
     diag_quadratic_problem,
     fd_gradient,
     fd_hvp,
+    model_gradient,
+    model_value,
     random_glm_instance,
     random_pca_instance,
+    snapshot,
+    spectral_error,
+    unshifted_dense,
 )
 from phases import run_phase_one
 
@@ -167,7 +169,7 @@ def test_criterion_3_nonuniform_advantage(capsys):
         bad = 0
         for t in range(200):
             op = SubsampledHessian(model, x, non, stream, shift=0.0)
-            err = float(np.max(np.abs(np.linalg.eigvalsh(op.unshifted_dense(400) - dense))))
+            err = float(np.max(np.abs(np.linalg.eigvalsh(unshifted_dense(op, 400) - dense))))
             if t == 0:
                 c.check(
                     abs(err - spectral_error(op, model, x)) <= 1e-15,
@@ -314,7 +316,7 @@ def test_criterion_8_epoch_accounting(capsys, tmp_path):
         c.check(all(r.sample_size == m for r in res.trace), "unexpected sample size")
         c.check(all(r.success for r in res.trace[1:]), "a scripted iteration failed")
         c.check(res.ledger.epochs == 12.0, f"epochs {res.ledger.epochs} != 12.0")
-        snap = res.ledger.snapshot()
+        snap = snapshot(res.ledger)
         c.check(snap["gradient_queries"] == 11 * n, "gradient query count off")
         c.check(snap["hessian_queries"] == 10 * m, "hessian query count off")
 

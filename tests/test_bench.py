@@ -20,7 +20,7 @@ from sarc.data import LibsvmFormatError, parse_libsvm, synth_logistic
 from sarc.problems import Dataset, LossModel, full_value, lipschitz_bounds
 from sarc.sarc_driver import SolverConfig
 
-from oracles import diag_quadratic_problem
+from oracles import diag_quadratic_problem, snapshot
 
 
 class TestLibsvmParsing:
@@ -116,7 +116,7 @@ class TestEpochLedger:
         assert led.epochs == pytest.approx(1.3)
         led.add_hessian_build(50)
         assert led.epochs == pytest.approx(1.8)
-        snap = led.snapshot()
+        snap = snapshot(led)
         assert snap == {"gradient_queries": 130, "hessian_queries": 50, "epochs": 1.8}
 
     def test_validation(self):
@@ -283,7 +283,7 @@ class TestRunSpec:
 
     def test_exit_codes(self):
         expected = {"converged": 0, "stationary": 0, "max_iters": 2, "phase1_exhausted": 2,
-                    "diverged": 1, "linesearch_failed": 1}
+                    "diverged": 1, "linesearch_failed": 1, "sequence_growth_failed": 1}
         assert EXIT_CODES == expected
         assert all(exit_code(status) == code for status, code in expected.items())
         assert exit_code("running") == 1  # a status outside the table is a failure

@@ -10,12 +10,10 @@ from sarc.cubic import (
     TerminationSpec,
     _tridiag_solve,
     minimize_model,
-    model_gradient,
-    model_value,
     solve_tridiagonal_cubic,
 )
 
-from oracles import cubic_global_min, fd_gradient
+from oracles import cubic_global_min, fd_gradient, model_gradient, model_value
 
 
 def _tridiag_dense(diag, off):
@@ -31,6 +29,27 @@ def _stationarity(diag, off, gnorm, sigma, y):
     g = np.zeros(len(diag))
     g[0] = gnorm
     return np.linalg.norm(T @ y + sigma * np.linalg.norm(y) * y + g)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _cubic_subproblems(draw):
+    """Random tridiagonal cubics; half of them near the hard case, where e1's
+    leading block is cut off from the rest (exactly, or up to a tiny coupling)
+    and the rest is shifted down so that it holds the lowest eigenvalue."""
+    k = draw(st.integers(1, 8))
+    diag = np.array(draw(st.lists(_finite(-5.0, 5.0), min_size=k, max_size=k)))
+    off = np.array(draw(st.lists(_finite(-3.0, 3.0), min_size=k - 1, max_size=k - 1)))
+    if k > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, k - 1))
+        off[cut - 1] = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]))
+        diag[cut:] -= draw(_finite(0.0, 10.0))
+    gnorm = 10.0 ** draw(_finite(-3.0, 2.0))
+    sigma = 10.0 ** draw(_finite(-2.0, 1.0))
+    return diag, off, gnorm, sigma
 
 
 class TestTridiagonalSolve:
@@ -92,6 +111,19 @@ class TestTridiagonalSolve:
             y_star, _ = cubic_global_min(T, g, sigma)
             val = lambda z: float(g @ z + 0.5 * z @ T @ z + sigma / 3.0 * np.linalg.norm(z) ** 3)
             assert val(y) <= val(y_star) + 1e-8 * max(1.0, abs(val(y_star)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_cubic_subproblems())
+    def test_global_min_property(self, problem):
+        diag, off, gnorm, sigma = problem
+        T = _tridiag_dense(diag, off)
+        g = np.zeros(diag.shape[0])
+        g[0] = gnorm
+        val = lambda z: float(g @ z + 0.5 * z @ T @ z + sigma / 3.0 * np.linalg.norm(z) ** 3)
+        y = solve_tridiagonal_cubic(diag, off, gnorm, sigma)
+        with np.errstate(divide="ignore"):
+            y_star, _ = cubic_global_min(T, g, sigma)
+        assert val(y) <= val(y_star) + 1e-8 * max(1.0, abs(val(y_star)))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

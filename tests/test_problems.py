@@ -5,16 +5,22 @@ from sarc.problems import (
     Dataset,
     LossModel,
     batch_gradient,
-    component_hvp,
     curvature_vector,
-    dense_hessian,
     full_gradient,
     full_value,
     lipschitz_bounds,
-    scalar_second_derivative,
 )
 
-from oracles import fd_gradient, fd_hvp, random_glm_instance, random_pca_instance
+from oracles import (
+    component_hvp,
+    dense_hessian,
+    fd_gradient,
+    fd_hvp,
+    random_glm_instance,
+    random_pca_instance,
+    row,
+    scalar_second_derivative,
+)
 
 ALL_FAMILIES = ("ridge_least_squares", "reg_logistic", "nonconvex_svm", "pca_quadratic")
 
@@ -134,12 +140,10 @@ class TestCurvature:
         for j in range(model.n):
             assert scalar_second_derivative(model, j, x) == pytest.approx(vec[j])
 
-    def test_pca_has_no_glm_curvature(self):
+    def test_pca_curvature_is_minus_one(self):
         rng = np.random.default_rng(7)
         model, x = random_pca_instance(rng)
-        assert not model.is_glm()
-        with pytest.raises(ValueError):
-            curvature_vector(model, x)
+        assert np.all(curvature_vector(model, x) == -1.0)
 
 
 class TestLipschitz:
@@ -151,15 +155,31 @@ class TestLipschitz:
         assert info.Lbar == pytest.approx(0.625)
 
     def test_analytic_dominates_true_curvature(self):
-        # L_j bounds the largest eigenvalue of every component Hessian
+        # L_j bounds the spectral norm of every component Hessian
         rng = np.random.default_rng(8)
-        for family in ("ridge_least_squares", "reg_logistic", "nonconvex_svm"):
-            model, x = random_glm_instance(rng, family)
+        for family in ALL_FAMILIES:
+            model, x = _instance(rng, family)
             info = lipschitz_bounds(model)
             for j in range(model.n):
-                a = model.dataset.row(j)
-                top = abs(scalar_second_derivative(model, j, x)) * float(a @ a)
-                assert top + model.reg_curvature() <= info.per_component[j] + 1e-12
+                a = row(model.dataset, j)
+                H_j = scalar_second_derivative(model, j, x) * np.outer(a, a)
+                H_j += model.reg_curvature() * np.eye(model.d)
+                top = float(np.abs(np.linalg.eigvalsh(H_j)).max())
+                assert top <= info.per_component[j] * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_per_component_closed_forms_bitwise(self, family):
+        rng = np.random.default_rng(9)
+        model, _ = _instance(rng, family)
+        sq = model.dataset.row_sq_norms()
+        reg = 2.0 * model.reg_scale * model.lam
+        expected = {
+            "ridge_least_squares": lambda: 2.0 * sq + reg,
+            "reg_logistic": lambda: 0.25 * sq + reg,
+            "nonconvex_svm": lambda: 4.0 / (3.0 * np.sqrt(3.0)) * sq + reg,
+            "pca_quadratic": lambda: np.maximum(model.lam, np.abs(model.lam - sq)),
+        }[family]()
+        assert np.array_equal(lipschitz_bounds(model).per_component, expected)
 
 
 class TestValidation:
@@ -207,7 +227,7 @@ class TestPointCache:
     def test_warm_equals_cold_bitwise(self, family):
         rng = np.random.default_rng(11)
         model, x = _instance(rng, family)
-        fns = [full_value, full_gradient] + ([curvature_vector] if model.is_glm() else [])
+        fns = [full_value, full_gradient, curvature_vector]
         cold = [fn(_fresh(model), x) for fn in fns]
         for order in (fns, fns[::-1]):
             warm_model = _fresh(model)
@@ -238,8 +258,7 @@ class TestPointCache:
         model, x = _instance(rng, family)
         full_gradient(model, x)
         p = model.at(x)
-        arrays = [p.t] if family == "pca_quadratic" else [p.t, p.link, curvature_vector(model, x)]
-        for a in arrays:
+        for a in (p.t, p.link, curvature_vector(model, x)):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from sarc.bench import exit_code
 from sarc.data import synth_logistic
 from sarc.problems import Dataset, LossModel
 from sarc.saarc_driver import (
@@ -11,10 +12,11 @@ from sarc.saarc_driver import (
     phase1_step,
     phase2_step,
     relative_progress_trigger,
+    STEPS,
     saarc_run,
     sacr_run,
 )
-from sarc.sarc_driver import SolverConfig
+from sarc.sarc_driver import SolverConfig, run
 
 from phases import run_phase_one
 
@@ -116,6 +118,14 @@ class TestVarsigmaGrowth:
         seq = EstimatingSequence(np.zeros(1), 1.0, 1.0, np.array([1.0]))
         with pytest.raises(RuntimeError):
             grow_varsigma(seq, 2.0, 2.0, cap=50)
+
+
+    def test_overflow_stops_like_the_cap(self):
+        # psi(argmin) = -2 sqrt(2 / (varsigma sqrt 3)) < 1 for every finite
+        # varsigma; after 1,024 doublings varsigma is inf and psi(argmin) nan
+        seq = EstimatingSequence(np.zeros(3), 1.0, 0.0, np.ones(3))
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
+            grow_varsigma(seq, 1.0, 2.0)
 
 
 class TestProgressTrigger:
@@ -259,6 +269,27 @@ class TestSaarcRun:
         z = state.seq.argmin()
         with pytest.raises(AssertionError):
             _audit_sequence(state, cfg, z + 1.0, state.seq.psi_value(z) + 1e3)
+
+    def test_audit_fails_on_nan(self):
+        model = _quadratic_model(seed=7)
+        cfg = SolverConfig(exact_hessian=True, max_iters=30)
+        state = run_phase_one(model, cfg, np.full(5, 2.0))
+        state.seq.varsigma = np.inf  # psi and its gradient at xbar1 are nan
+        with np.errstate(invalid="ignore"), pytest.raises(AssertionError, match="lower bound"):
+            _audit_sequence(state, cfg, state.seq.xbar1.copy(), 0.0)
+
+    def test_failed_growth_ends_the_run_with_a_named_status(self):
+        # a sequence no finite varsigma can lift to its threshold, as outside
+        # the convex theory: the run ends with a status, not an exception
+        model = _quadratic_model(seed=7)
+        cfg = SolverConfig(exact_hessian=True, max_iters=30)
+        state = run_phase_one(model, cfg, np.full(5, 2.0))
+        state.seq.lin_const = -1e300
+        with np.errstate(invalid="ignore"):
+            run(state, model, cfg, STEPS)
+        assert state.status == "sequence_growth_failed"
+        assert exit_code(state.status) == 1
+        assert state.trace[-1].success is False and state.trace[-1].phase == "two"
 
     def test_gradient_epochs_charged_even_on_rejection(self):
         # every phase-two trial evaluates a gradient at y+s before the rho test

@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarc.problems import (
+    FAMILIES,
     Dataset,
     DegenerateCurvatureError,
     LipschitzInfo,
     LossModel,
     curvature_vector,
-    dense_hessian,
     full_gradient,
     lipschitz_bounds,
 )
@@ -23,10 +26,17 @@ from sarc.sampling import (
     resolve_plan,
     sample_size_nonuniform,
     sample_size_uniform,
-    spectral_error,
 )
 
-from oracles import random_glm_instance, random_pca_instance
+from oracles import (
+    dense_hessian,
+    quad,
+    random_glm_instance,
+    random_pca_instance,
+    row,
+    spectral_error,
+    unshifted_dense,
+)
 
 
 class TestLemmaBounds:
@@ -137,15 +147,17 @@ class TestResolvePlan:
         plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model))
         assert plan.exact and plan.size == 20 and plan.scheme == "uniform"
 
-    def test_non_glm_falls_back_to_uniform(self):
-        model = LossModel("pca_quadratic", 2.0,
-                          Dataset.from_dense(np.eye(3), np.zeros(3)))
-        plan = resolve_plan(model, np.ones(3), 0.5, 0.1, LipschitzInfo(2.0, 2.0),
-                            scheme="nonuniform")
-        assert plan.scheme == "uniform"
-        assert plan.requested_scheme == "nonuniform"
-        assert plan.downgraded
-        assert plan.curvature_sweeps == 0
+    def test_pca_keeps_nonuniform(self):
+        # curvature -1 everywhere: p_j is proportional to ||a_j||^2
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((40, 3)) * rng.uniform(0.5, 2.0, size=(40, 1))
+        model = LossModel("pca_quadratic", 2.0, Dataset.from_dense(A, np.zeros(40)))
+        plan = resolve_plan(model, np.ones(3), 0.5, 0.1, lipschitz_bounds(model),
+                            scheme="nonuniform", fixed_size=10)
+        assert plan.scheme == "nonuniform" and not plan.downgraded and not plan.exact
+        sq = np.sum(A * A, axis=1)
+        assert np.allclose(plan.probabilities, sq / sq.sum(), rtol=1e-12, atol=0.0)
+        assert plan.curvature_sweeps == 1
 
     def test_degenerate_curvature_falls_back(self):
         model = LossModel("nonconvex_svm", 0.0,
@@ -270,19 +282,20 @@ class TestSubsampledHessian:
         expected = np.zeros((model.d, model.d))
         w_sum = 0.0
         for j, c in zip(idx, counts):
-            a = model.dataset.row(j)
+            a = row(model.dataset, j)
             w = c / (n * m * p[j])
             expected += w * curv[j] * np.outer(a, a)
             w_sum += w
         expected += w_sum * model.reg_curvature() * np.eye(model.d)
-        assert np.allclose(op.unshifted_dense(), expected, rtol=1e-10, atol=1e-12)
+        assert np.allclose(unshifted_dense(op), expected, rtol=1e-10, atol=1e-12)
 
     def test_quad_form_consistent(self):
         model, x = self._model()
         plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model), fixed_size=15)
         op = SubsampledHessian(model, x, plan, SampleStream(1))
         v = np.random.default_rng(9).standard_normal(model.d)
-        assert op.quad(v) == pytest.approx(float(v @ op.matvec(v)), rel=1e-12)
+        dense = unshifted_dense(op) + op.shift * np.eye(model.d)
+        assert quad(op, v) == pytest.approx(float(v @ dense @ v), rel=1e-12)
 
     def test_sampled_mean_approaches_dense(self):
         model, x = self._model(n=200, d=5, seed=10)
@@ -293,7 +306,7 @@ class TestSubsampledHessian:
         trials = 400
         for _ in range(trials):
             op = SubsampledHessian(model, x, plan, stream, shift=0.0)
-            acc += op.unshifted_dense()
+            acc += unshifted_dense(op)
         acc /= trials
         H = dense_hessian(model, x)
         err = np.linalg.norm(acc - H, 2) / max(np.linalg.norm(H, 2), 1e-12)
@@ -306,6 +319,36 @@ class TestSubsampledHessian:
         assert spectral_error(op, model, x) < 1e-12
 
 
+class TestWeightsUnbiased:
+    """The build's importance weight of component j is count_j / (n m p_j)
+    with count_j ~ Binomial(m, p_j), so E[w_j] = 1/n whenever p_j > 0. One
+    build with m = 200,000 draws checks it to within 6 standard deviations,
+    for every family under both schemes. Rows with p_j = 0 are never drawn;
+    their component Hessian term vanishes, but their weight does not average
+    to 1/n, so they are left out."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(FAMILIES), st.sampled_from(["uniform", "nonuniform"]),
+           st.integers(0, 2**32 - 1))
+    def test_weights_average_to_one_over_n(self, family, scheme, seed):
+        rng = np.random.default_rng(seed)
+        if family == "pca_quadratic":
+            model, x = random_pca_instance(rng)
+        else:
+            model, x = random_glm_instance(rng, family)
+        n, m = model.n, 200_000
+        plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model),
+                            scheme=scheme, fixed_size=n - 1)
+        assert plan.scheme == scheme and not plan.exact
+        op = SubsampledHessian(model, x, dataclasses.replace(plan, size=m), SampleStream(seed))
+        w = np.zeros(n)
+        w[op.indices] = op._weights
+        p = plan.probabilities if scheme == "nonuniform" else np.full(n, 1.0 / n)
+        live = p > 0.0
+        tol = (6.0 * np.sqrt(m * p[live]) + 6.0) / (n * m * p[live])
+        assert np.all(np.abs(w[live] - 1.0 / n) <= tol)
+
+
 class TestHessianBuildCache:
     """Builds read margins, link values and (exact mode) curvature from the
     model's point cache and apply A itself in exact mode."""
@@ -313,7 +356,8 @@ class TestHessianBuildCache:
     BUILDS = [("reg_logistic", "uniform", 15), ("reg_logistic", "nonuniform", 15),
               ("reg_logistic", "uniform", None), ("nonconvex_svm", "nonuniform", 15),
               ("nonconvex_svm", "uniform", None), ("ridge_least_squares", "uniform", 15),
-              ("pca_quadratic", "uniform", 15), ("pca_quadratic", "uniform", None)]
+              ("pca_quadratic", "uniform", 15), ("pca_quadratic", "nonuniform", 15),
+              ("pca_quadratic", "uniform", None)]
 
     def _instance(self, family):
         rng = np.random.default_rng(21)
@@ -335,8 +379,7 @@ class TestHessianBuildCache:
                                model.linear)
         cold = SubsampledHessian(cold_model, x, plan, SampleStream(3))
         full_gradient(model, x)
-        if model.is_glm():
-            curvature_vector(model, x)
+        curvature_vector(model, x)
         warm = SubsampledHessian(model, x, plan, SampleStream(3))
         assert np.array_equal(warm.indices, cold.indices)
         for v in np.random.default_rng(22).standard_normal((3, model.d)):
