@@ -34,8 +34,6 @@ from .sampling import (
     SamplingPlan,
     SampleStream,
     SubsampledHessian,
-    lemma_nonuniform_bound,
-    lemma_uniform_bound,
     nonuniform_distribution,
     resolve_plan,
     sample_size_nonuniform,
@@ -54,7 +52,6 @@ __all__ = [
     "batch_gradient", "curvature_vector", "full_gradient", "full_value", "lipschitz_bounds",
     "EstimatingSequence", "phase1_step", "phase2_step", "saarc_run", "sacr_run",
     "SamplingPlan", "SampleStream", "SubsampledHessian",
-    "lemma_nonuniform_bound", "lemma_uniform_bound",
     "nonuniform_distribution", "resolve_plan",
     "sample_size_nonuniform", "sample_size_uniform",
     "SolverConfig", "SolverState", "TraceRecord", "run", "sarc_init", "sarc_run", "sarc_step",

@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grad-tol", type=float, default=1e-9)
     run.add_argument("--max-iters", type=int, default=500)
     run.add_argument("--x0-std", type=float, default=5000.0,
-                     help="stddev of the Gaussian initial point")
+                     help="stddev of the Gaussian initial point; the cubic methods stall "
+                          "at max_iters from the default on logistic loss, try 1.0")
     run.add_argument("--batch", type=int, default=32, help="SGD batch size")
     run.add_argument("--jobs", type=int, default=1,
                      help="parallel processes for grid runs")

@@ -140,9 +140,9 @@ def solve_tridiagonal_cubic(
     Returns subspace coordinates y. The stationarity residual
     |sigma||y|| - lambda| * ||y|| is driven below SECULAR_TOL*gnorm. The
     minimal eigenpair is deflated from every shifted solve and handled
-    analytically, so roots arbitrarily close to the barrier stay resolvable. The hard case (e1 orthogonal to the
-    minimal eigenspace, only possible for reducible T) is resolved by the
-    boundary root plus a null-space step.
+    analytically, so roots arbitrarily close to the barrier stay resolvable.
+    The hard case (e1 orthogonal to the minimal eigenspace, only possible
+    for reducible T) is resolved by the boundary root plus a null-space step.
     """
     diag = np.asarray(diag, dtype=float).ravel()
     off = np.asarray(off, dtype=float).ravel()

@@ -22,10 +22,11 @@ class LibsvmFormatError(ValueError):
 def parse_libsvm(path: str, n_features: int | None = None) -> Dataset:
     """Parse 'label idx:val idx:val ...' lines into a sparse Dataset.
 
-    Indices are 1-based in the file and 0-based in memory. d is the largest
-    index seen unless `n_features` overrides it. Labels are kept as-is when
-    already in {-1,+1}; otherwise the common encodings 0 -> -1 and 2 -> -1
-    are applied (1 stays +1), and anything else is rejected.
+    Indices are 1-based in the file and 0-based in memory, in any order but
+    at most once per line. d is the largest index seen unless `n_features`
+    overrides it. Labels are kept as-is when already in {-1,+1}; otherwise
+    the common encodings 0 -> -1 and 2 -> -1 are applied (1 stays +1), and
+    anything else is rejected.
     """
     labels: list[float] = []
     rows: list[int] = []
@@ -45,6 +46,7 @@ def parse_libsvm(path: str, n_features: int | None = None) -> Dataset:
                                         f"bad label {first.group()!r}") from None
             row = len(labels)
             labels.append(label)
+            seen: set[int] = set()
             for m in tokens:
                 tok = m.group()
                 col0 = m.start() + 1
@@ -57,6 +59,9 @@ def parse_libsvm(path: str, n_features: int | None = None) -> Dataset:
                     raise LibsvmFormatError(lineno, col0, f"bad index {idx_s!r}") from None
                 if idx < 1:
                     raise LibsvmFormatError(lineno, col0, "indices are 1-based")
+                if idx in seen:
+                    raise LibsvmFormatError(lineno, col0, f"repeated index {idx}")
+                seen.add(idx)
                 try:
                     val = float(val_s)
                 except ValueError:

@@ -85,6 +85,10 @@ class SolverConfig:
             raise ValueError("grad_tol must be >= 0")
         if self.varsigma0 is not None and self.varsigma0 <= 0.0:
             raise ValueError("varsigma0 must be > 0")
+        if self.fixed_sample_size is not None and self.fixed_sample_size < 1:
+            raise ValueError("fixed_sample_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -2,8 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sarc import sarc_driver
+
+# every property test draws the same examples on every machine and run; a
+# test's own @settings only sets its number of examples
+settings.register_profile("sarc", derandomize=True, deadline=None, database=None)
+settings.load_profile("sarc")
 
 
 @pytest.fixture

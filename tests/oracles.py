@@ -9,6 +9,8 @@ operators, so agreement is meaningful. The dense references refuse d above
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -91,6 +93,21 @@ def snapshot(ledger) -> dict:
         "hessian_queries": ledger.component_hessian_queries,
         "epochs": ledger.epochs,
     }
+
+
+def lemma_uniform_bound(eps: float, delta: float, L: float, d: int) -> float:
+    """The uniform lemma's sample-size bound, neither rounded nor capped:
+    max{16 L^2/eps^2, 4 L/eps} log(2d/delta)."""
+    return max(16.0 * L * L / eps**2, 4.0 * L / eps) * math.log(2.0 * d / delta)
+
+
+def lemma_nonuniform_bound(
+    eps: float, delta: float, L: float, Lbar: float, p_min: float, d: int, n: int
+) -> float:
+    """The non-uniform lemma's sample-size bound, neither rounded nor capped:
+    max{4 Lbar^2/eps^2, (2L/eps) (n + 1/p_min - 2)/n} log(2d/delta)."""
+    linear = (2.0 * L / eps) * (n + 1.0 / p_min - 2.0) / n
+    return max(4.0 * Lbar * Lbar / eps**2, linear) * math.log(2.0 * d / delta)
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

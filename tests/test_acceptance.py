@@ -6,6 +6,7 @@ asserts the same condition with details. Tolerances and runtime caps are part
 of the criteria.
 """
 
+import math
 import time
 
 import numpy as np
@@ -30,7 +31,6 @@ from sarc.sampling import (
     SamplingPlan,
     SampleStream,
     SubsampledHessian,
-    lemma_uniform_bound,
     resolve_plan,
 )
 from sarc.saarc_driver import (
@@ -47,6 +47,7 @@ from oracles import (
     diag_quadratic_problem,
     fd_gradient,
     fd_hvp,
+    lemma_uniform_bound,
     model_gradient,
     model_value,
     random_glm_instance,
@@ -127,15 +128,13 @@ def test_criterion_2_uniform_concentration(capsys):
 
         # spectral target 0.2 with per-build failure probability 0.1
         eps, delta = 0.2, 0.1
-        size = lemma_uniform_bound(eps, delta, lip.L, model.d)
+        size = math.ceil(lemma_uniform_bound(eps, delta, lip.L, model.d))
         c.check(size < model.n, f"bound size {size} does not bite below n={model.n}")
         # the driver asks for eps_i = 2*eps because it budgets half for the shift
         rp = resolve_plan(model, x, 2.0 * eps, delta, lip, scheme="uniform")
         c.check(rp.size == size and not rp.exact, "resolver size disagrees with bound")
 
-        plan = SamplingPlan(
-            scheme="uniform", eps_i=2.0 * eps, size=size, exact=False,
-        )
+        plan = SamplingPlan(size=size, exact=False)
         stream = SampleStream(123)
         bad = 0
         for _ in range(200):

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sarc import baselines, bench, cli
 from sarc.accounting import EpochLedger
@@ -80,6 +86,38 @@ class TestLibsvmParsing:
         assert ds.d == 5
         with pytest.raises(ValueError):
             self._parse(tmp_path, "+1 3:1\n", n_features=2)
+
+    def test_repeated_index_rejected_with_position(self, tmp_path):
+        with pytest.raises(LibsvmFormatError, match="repeated index 3") as e:
+            self._parse(tmp_path, "-1 1:1\n1 3:1 3:2\n")
+        assert (e.value.line, e.value.column) == (2, 7)
+
+    def test_unsorted_unique_indices_accepted(self, tmp_path):
+        ds = self._parse(tmp_path, "+1 3:2 1:0.5\n")
+        assert np.array_equal(ds.A.toarray(), [[0.5, 0.0, 2.0]])
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_round_trip(self, data):
+        n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        nonzero = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda v: v != 0.0)
+        A = data.draw(hnp.arrays(np.float64, (n, d), elements=st.one_of(st.just(0.0), nonzero)))
+        b = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        lines = []
+        for i in range(n):
+            order = data.draw(st.permutations(range(d)))  # unsorted indices are valid
+            pairs = [f"{j + 1}:{float(A[i, j])!r}" for j in order if A[i, j] != 0.0]
+            lines.append(" ".join([f"{b[i]:+.0f}"] + pairs))
+        extra = data.draw(st.integers(0, 3))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.txt"
+            path.write_text("\n".join(lines) + "\n")
+            ds = parse_libsvm(str(path))
+            padded = parse_libsvm(str(path), n_features=d + extra)
+        used = max([j + 1 for j in range(d) if np.any(A[:, j] != 0.0)], default=1)
+        assert np.array_equal(ds.A.toarray(), A[:, :used])
+        assert np.array_equal(padded.A.toarray(), np.hstack([A, np.zeros((n, extra))]))
+        assert np.array_equal(ds.b, b) and np.array_equal(padded.b, b)
 
 
 class TestSynthData:

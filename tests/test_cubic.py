@@ -112,7 +112,7 @@ class TestTridiagonalSolve:
             val = lambda z: float(g @ z + 0.5 * z @ T @ z + sigma / 3.0 * np.linalg.norm(z) ** 3)
             assert val(y) <= val(y_star) + 1e-8 * max(1.0, abs(val(y_star)))
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(_cubic_subproblems())
     def test_global_min_property(self, problem):
         diag, off, gnorm, sigma = problem
@@ -171,7 +171,6 @@ def _tridiagonal_systems(draw):
 
 
 class TestTridiagSolve:
-    @settings(deadline=None)
     @given(_tridiagonal_systems())
     def test_bit_identical_to_solve_banded(self, system):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -158,6 +158,11 @@ class TestConfigValidation:
             SolverConfig(max_iters=-1)
         with pytest.raises(ValueError):
             SolverConfig(varsigma0=0.0)
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="fixed_sample_size"):
+                SolverConfig(fixed_sample_size=bad)
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=-1)
 
 
 def _run_logistic(scheme="uniform", n=200, d=10, seed=0, **kw):
