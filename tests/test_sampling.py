@@ -81,13 +81,18 @@ class TestLemmaBounds:
 
     def test_uniform_infinite_bound_selects_exact_mode(self):
         # L^2 overflows to inf; the size is n, not an OverflowError
-        assert lemma_uniform_bound(0.5, 0.1, 1e200, 10) == math.inf
         assert sample_size_uniform(0.5, 0.1, 1e200, 10, 100) == 100
 
     def test_nonuniform_infinite_bound_selects_exact_mode(self):
         # 1/p_min overflows to inf for a subnormal p_min
-        assert lemma_nonuniform_bound(0.5, 0.1, 1.0, 0.5, 5e-324, 10, 100) == math.inf
         assert sample_size_nonuniform(0.5, 0.1, 1.0, 0.5, 5e-324, 10, 100) == 100
+
+    def test_uniform_lemma_infinite_bound(self):
+        # the uncapped formula on the input the exact-mode test caps
+        assert lemma_uniform_bound(0.5, 0.1, 1e200, 10) == math.inf
+
+    def test_nonuniform_lemma_infinite_bound(self):
+        assert lemma_nonuniform_bound(0.5, 0.1, 1.0, 0.5, 5e-324, 10, 100) == math.inf
 
     def test_nan_bound_selects_exact_mode(self):
         assert sample_size_uniform(0.5, 0.1, math.nan, 10, 100) == 100
