@@ -182,6 +182,7 @@ class SubsampledHessian:
 
     def __init__(self, model: LossModel, x: np.ndarray, plan: SamplingPlan,
                  stream: SampleStream | None = None, *, shift: float):
+        x = np.asarray(x, dtype=float).ravel()
         self.model = model
         self.plan = plan
         self.shift = float(shift)

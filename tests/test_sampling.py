@@ -58,9 +58,12 @@ class TestLemmaBounds:
         assert sample_size_nonuniform(0.5, 0.1, 4.0, 2.0, 0.01, 50, 10**6) == 443
 
     def test_nonuniform_grows_as_p_min_shrinks(self):
-        kw = dict(eps=0.5, per_iter_delta=0.1, L=4.0, Lbar=2.0, d=50, n=10**9)
-        sizes = [sample_size_nonuniform(p_min=p, **kw) for p in (0.5, 0.01, 1e-5)]
-        assert sizes[0] <= sizes[1] <= sizes[2]
+        # the p_min term overtakes the quadratic term (64) once 1/p_min is
+        # about 3n; n is large enough that no size reaches the cap
+        kw = dict(eps=0.5, per_iter_delta=0.1, L=4.0, Lbar=2.0, d=50, n=10**6)
+        sizes = [sample_size_nonuniform(p_min=p, **kw) for p in (0.5, 1e-5, 1e-8)]
+        assert sizes[0] <= sizes[1] < sizes[2] < kw["n"]
+        assert sizes[2] == math.ceil(lemma_nonuniform_bound(0.5, 0.1, 4.0, 2.0, 1e-8, 50, 10**6))
 
     def test_domain_validation(self):
         for args in ((0.0, 0.1, 1.0, 10, 100), (1.0, 0.1, 1.0, 10, 100),
@@ -372,6 +375,19 @@ class TestSubsampledHessian:
         H = dense_hessian(model, x)
         err = np.linalg.norm(acc - H, 2) / max(np.linalg.norm(H, 2), 1e-12)
         assert err < 0.05
+
+    @pytest.mark.parametrize("size", [15, None])
+    def test_point_as_list_or_column(self, size):
+        # sampled and exact builds both read x as d floats, whatever its form
+        model, x = self._model()
+        plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model), fixed_size=size)
+        assert plan.exact == (size is None)
+        x32 = x.astype(np.float32)
+        v = np.random.default_rng(12).standard_normal(model.d)
+        for point, same in ((list(x), x), (x.reshape(-1, 1), x), (x32, x32.astype(float))):
+            op = SubsampledHessian(model, point, plan, SampleStream(4), shift=0.25)
+            ref = SubsampledHessian(model, same, plan, SampleStream(4), shift=0.25)
+            assert np.array_equal(op.matvec(v), ref.matvec(v))
 
     def test_spectral_error_zero_in_exact_mode(self):
         model, x = self._model()
