@@ -56,9 +56,12 @@ def _parse_algos(text: str):
 
 def _parse_seeds(text: str):
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not seeds:
+        raise argparse.ArgumentTypeError("no seed given")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Cubic-model subproblem: m(s) = f0 + g^T s + 0.5 s^T H s + (sigma/3) ||s||^3.
+"""Cubic model of f(x + s) - f(x): m(s) = g^T s + 0.5 s^T H s + (sigma/3) ||s||^3.
 
 The minimizer over a growing Krylov subspace is computed by the Lanczos
 process with full re-orthogonalization, one Hessian-vector product per Krylov
@@ -19,11 +19,11 @@ of Gould, Lucidi, Roma & Toint 1999; Cartis, Gould & Toint 2011): for
 s = Q_k y,
 
     ||grad m(s)||^2 = || ||g|| e1 + (T_k + sigma ||y|| I) y ||^2 + (beta_k y_k)^2,
-    f0 - m(s)       = -(||g|| y_1 + 0.5 y^T T_k y + sigma/3 ||y||^3),
+    m(0) - m(s)     = -(||g|| y_1 + 0.5 y^T T_k y + sigma/3 ||y||^3),
 
 so no full-space gradient is formed and s is lifted once, on return.
 
-Termination variants (residual r = ||grad m(s)||, gn = ||grad f(x)||):
+Termination conditions, THRESHOLDS (r = ||grad m(s)||, gn = ||grad f(x)||):
 
     condition_3_1: r <= kappa_theta * min(gn, gn^3, ||s||^2)
     condition_4_1: r <= kappa_theta * min(1, ||s||) * min(||s||, gn)
@@ -31,7 +31,7 @@ Termination variants (residual r = ||grad m(s)||, gn = ||grad f(x)||):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -40,60 +40,17 @@ import scipy.linalg.lapack
 SECULAR_TOL = 1e-10  # secular stationarity residual target, relative to ||g||
 SECULAR_MAX_ITER = 300  # Newton/bisection steps before the best iterate is returned
 
-
-class _MatrixOp:
-    def __init__(self, M):
-        self.M = np.asarray(M, dtype=float)
-
-    def matvec(self, v):
-        return self.M @ v
-
-
-def as_operator(H):
-    """Wrap a dense matrix as a matvec operator; pass operators through."""
-    if hasattr(H, "matvec"):
-        return H
-    return _MatrixOp(H)
-
-
-@dataclass
-class CubicModel:
-    g: np.ndarray
-    H: object  # anything with .matvec, or a dense matrix
-    sigma: float
-    f0: float = 0.0
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float).ravel()
-        if not np.all(np.isfinite(self.g)):
-            raise ValueError("gradient contains non-finite entries")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be > 0")
-        self.H = as_operator(self.H)
-
-
-@dataclass
-class TerminationSpec:
-    kind: str
-    kappa_theta: float
-
-    def __post_init__(self):
-        if self.kind not in ("condition_3_1", "condition_4_1"):
-            raise ValueError(f"unknown termination kind {self.kind!r}")
-        if not 0.0 < self.kappa_theta < 0.5:
-            raise ValueError("kappa_theta must lie in (0, 1/2)")
-
-    def threshold(self, grad_f_norm: float, step_norm: float) -> float:
-        gn, sn = grad_f_norm, step_norm
-        if self.kind == "condition_3_1":
-            return self.kappa_theta * min(gn, gn**3, sn**2)
-        return self.kappa_theta * min(1.0, sn) * min(sn, gn)
+# threshold(kappa_theta, gn, ||s||) of each termination condition
+THRESHOLDS = {
+    "condition_3_1": lambda kt, gn, sn: kt * min(gn, gn**3, sn**2),
+    "condition_4_1": lambda kt, gn, sn: kt * min(1.0, sn) * min(sn, gn),
+}
 
 
 @dataclass
 class SubproblemResult:
     s: np.ndarray
-    model_decrease: float  # f0 - m(s) = -(g.s + 0.5 s.Hs + sigma/3 ||s||^3)
+    model_decrease: float  # m(0) - m(s) = -(g.s + 0.5 s.Hs + sigma/3 ||s||^3)
     grad_norm: float  # ||grad m(s)||, from the Lanczos recurrence
     k: int  # Krylov dimension reached
     hvp_count: int
@@ -256,22 +213,36 @@ def solve_tridiagonal_cubic(
 
 
 def minimize_model(
-    model: CubicModel,
-    spec: TerminationSpec,
+    g: np.ndarray,
+    H,
+    sigma: float,
+    condition: str,
+    kappa_theta: float,
     grad_f_norm: float | None = None,
     max_dim: int | None = None,
 ) -> SubproblemResult:
-    """Lanczos/Krylov minimization of the cubic model until `spec` holds.
+    """Lanczos/Krylov minimization of g.s + 0.5 s.Hs + (sigma/3)||s||^3 until
+    the termination rule `condition` (a key of THRESHOLDS) holds.
 
-    Grows the subspace one Lanczos vector at a time (full re-orthogonalization,
-    one Hessian-vector product per step), solves each subspace problem exactly
-    through the tridiagonal secular equation, and checks the termination
-    residual from the Lanczos recurrence; the iterate is lifted to full space
-    once, on return. Breakdown (invariant subspace) returns the subspace
-    solution, which is then globally optimal over the reachable space;
-    exhausting max_dim returns the last iterate flagged 'exhausted'.
+    H is anything with .matvec. Grows the subspace one Lanczos vector at a
+    time (full re-orthogonalization, one Hessian-vector product per step),
+    solves each subspace problem exactly through the tridiagonal secular
+    equation, and checks the termination residual from the Lanczos
+    recurrence; the iterate is lifted to full space once, on return.
+    Breakdown (invariant subspace) returns the subspace solution, which is
+    then globally optimal over the reachable space; exhausting max_dim
+    returns the last iterate flagged 'exhausted'.
     """
-    g = model.g
+    g = np.asarray(g, dtype=float).ravel()
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient contains non-finite entries")
+    if sigma <= 0.0:
+        raise ValueError("sigma must be > 0")
+    if condition not in THRESHOLDS:
+        raise ValueError(f"unknown termination condition {condition!r}")
+    if not 0.0 < kappa_theta < 0.5:
+        raise ValueError("kappa_theta must lie in (0, 1/2)")
+    threshold = THRESHOLDS[condition]
     gn = float(np.linalg.norm(g))
     d = g.shape[0]
     if grad_f_norm is None:
@@ -283,7 +254,6 @@ def minimize_model(
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     max_dim = min(max_dim, d)
-    sigma = model.sigma
 
     Q = np.empty((max_dim, d))
     alphas = np.empty(max_dim)
@@ -293,7 +263,7 @@ def minimize_model(
 
     for k in range(1, max_dim + 1):
         Q[k - 1] = q
-        w = model.H.matvec(q)
+        w = H.matvec(q)
         if k > 1:
             w = w - beta_prev * Q[k - 2]
         alpha = float(q @ w)
@@ -314,7 +284,7 @@ def minimize_model(
         grad_y[0] += gn
         res = float(np.hypot(np.linalg.norm(grad_y), beta * y[-1]))
         decrease = -(gn * float(y[0]) + 0.5 * float(y @ Ty) + sigma / 3.0 * sn**3)
-        met = res <= spec.threshold(grad_f_norm, sn)
+        met = res <= threshold(kappa_theta, grad_f_norm, sn)
 
         if met:
             status = "converged"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -19,6 +20,18 @@ class LibsvmFormatError(ValueError):
         self.column = column
 
 
+def _finite_float(text: str, what: str, line: int, column: int) -> float:
+    """The float a label or value token spells; raises at its position when
+    it is malformed or not finite (nan, inf, or an overflow like 1e400)."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise LibsvmFormatError(line, column, f"bad {what} {text!r}") from None
+    if not math.isfinite(v):
+        raise LibsvmFormatError(line, column, f"non-finite {what} {text!r}")
+    return v
+
+
 def parse_libsvm(path: str, n_features: int | None = None) -> Dataset:
     """Parse 'label idx:val idx:val ...' lines into a sparse Dataset.
 
@@ -26,7 +39,8 @@ def parse_libsvm(path: str, n_features: int | None = None) -> Dataset:
     at most once per line. d is the largest index seen unless `n_features`
     overrides it. Labels are kept as-is when already in {-1,+1}; otherwise
     the common encodings 0 -> -1 and 2 -> -1 are applied (1 stays +1), and
-    anything else is rejected.
+    anything else is rejected. A malformed or non-finite token raises
+    LibsvmFormatError at its line and column.
     """
     labels: list[float] = []
     rows: list[int] = []
@@ -39,11 +53,7 @@ def parse_libsvm(path: str, n_features: int | None = None) -> Dataset:
             first = next(tokens, None)
             if first is None:
                 continue
-            try:
-                label = float(first.group())
-            except ValueError:
-                raise LibsvmFormatError(lineno, first.start() + 1,
-                                        f"bad label {first.group()!r}") from None
+            label = _finite_float(first.group(), "label", lineno, first.start() + 1)
             row = len(labels)
             labels.append(label)
             seen: set[int] = set()
@@ -62,12 +72,7 @@ def parse_libsvm(path: str, n_features: int | None = None) -> Dataset:
                 if idx in seen:
                     raise LibsvmFormatError(lineno, col0, f"repeated index {idx}")
                 seen.add(idx)
-                try:
-                    val = float(val_s)
-                except ValueError:
-                    raise LibsvmFormatError(
-                        lineno, col0 + len(idx_s) + 1, f"bad value {val_s!r}"
-                    ) from None
+                val = _finite_float(val_s, "value", lineno, col0 + len(idx_s) + 1)
                 rows.append(row)
                 cols.append(idx - 1)
                 vals.append(val)
@@ -109,6 +114,8 @@ def synth_logistic(
     """
     if n < 1 or d < 1:
         raise ValueError("need n, d >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if skew <= 0.0 or scale <= 0.0:
         raise ValueError("skew and scale must be > 0")
     rng = np.random.default_rng(np.random.Philox(key=seed))

@@ -168,8 +168,8 @@ class LossModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.family in ("reg_logistic", "nonconvex_svm"):
             labels = np.unique(self.dataset.b)
             if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -183,6 +183,8 @@ class LossModel:
         self.linear = np.asarray(self.linear, dtype=float).ravel()
         if self.linear.shape[0] != self.dataset.d:
             raise ValueError("linear term dimension mismatch")
+        if not np.all(np.isfinite(self.linear)):
+            raise ValueError("linear term contains non-finite entries")
 
     @property
     def n(self) -> int:

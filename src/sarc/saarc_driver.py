@@ -153,7 +153,7 @@ def phase1_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     step with m - f(x+s) > 0 is accepted and starts phase two."""
     if state.terminal or state.phase != "one":
         raise RuntimeError("phase1_step requires a live phase-one state")
-    sub = _subproblem(state, config, "condition_4_1", state.grad, state.grad_norm)
+    sub = _subproblem(state, config, state.grad, state.grad_norm)
     x_trial = state.x + sub.s
     accept = _finite(x_trial)
     if accept:
@@ -196,7 +196,7 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     """One accelerated iteration at the extrapolation point y_l."""
     if state.terminal or state.phase != "two":
         raise RuntimeError("phase2_step requires a live phase-two state")
-    sub = _subproblem(state, config, "condition_4_1", state.grad_y, state.grad_y_norm)
+    sub = _subproblem(state, config, state.grad_y, state.grad_y_norm)
     s = sub.s
     sn = float(np.linalg.norm(s))
     state.iteration += 1

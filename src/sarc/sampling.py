@@ -103,10 +103,6 @@ class SamplingPlan:
             if np.any(self.probabilities < 0.0):
                 raise ValueError("negative probability")
 
-    @property
-    def scheme(self) -> str:
-        return "uniform" if self.probabilities is None else "nonuniform"
-
 
 def resolve_plan(
     model: LossModel,

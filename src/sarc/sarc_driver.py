@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .accounting import EpochLedger
-from .cubic import CubicModel, SubproblemResult, TerminationSpec, minimize_model
+from .cubic import SubproblemResult, minimize_model
 from .problems import LipschitzInfo, LossModel, full_gradient, full_value, lipschitz_bounds
 from .sampling import SampleStream, SubsampledHessian, resolve_plan
 
@@ -173,15 +173,18 @@ def _build(state: SolverState, model: LossModel, config: SolverConfig, point: np
     state.needs_rebuild = False
 
 
-def _subproblem(state: SolverState, config: SolverConfig, kind: str,
+def _subproblem(state: SolverState, config: SolverConfig,
                 g: np.ndarray, g_norm: float) -> SubproblemResult:
-    """Minimize the cubic model with gradient g, the current operator and sigma.
+    """Minimize the cubic model with gradient g, the current operator and
+    sigma, to condition 3.1 in phase "sarc" and to 4.1 in the accelerated
+    phases.
 
     Every driver's subproblem goes through this module's `minimize_model`,
     the name perfbench/tracing.py patches to count and time subproblems.
     """
-    cubic = CubicModel(g, state.H, state.sigma)
-    return minimize_model(cubic, TerminationSpec(kind, config.kappa_theta), grad_f_norm=g_norm)
+    condition = "condition_3_1" if state.phase == "sarc" else "condition_4_1"
+    return minimize_model(g, state.H, state.sigma, condition, config.kappa_theta,
+                          grad_f_norm=g_norm)
 
 
 def _record(state: SolverState, *, success: bool | None) -> TraceRecord:
@@ -273,7 +276,7 @@ def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> Sol
     if state.needs_rebuild:
         _build(state, model, config, state.x)
 
-    sub = _subproblem(state, config, "condition_3_1", state.grad, state.grad_norm)
+    sub = _subproblem(state, config, state.grad, state.grad_norm)
     x_trial = state.x + sub.s
     finite = _finite(x_trial)
     f_trial = full_value(model, x_trial) if finite else np.inf

@@ -71,19 +71,28 @@ def quad(op, v: np.ndarray) -> float:
     return float(v @ op.matvec(v))
 
 
-def model_gradient(model, s: np.ndarray) -> np.ndarray:
-    """grad m(s) = g + H s + sigma ||s|| s of a CubicModel, in full space."""
+class MatvecOnly:
+    """A dense matrix behind matvec access only, the interface the library's
+    subproblem solver reads."""
+
+    def __init__(self, M: np.ndarray):
+        self._M = M
+
+    def matvec(self, v):
+        return self._M @ v
+
+
+def model_gradient(g: np.ndarray, H: np.ndarray, sigma: float, s: np.ndarray) -> np.ndarray:
+    """grad m(s) = g + H s + sigma ||s|| s of the cubic model, dense H."""
     s = np.asarray(s, dtype=float).ravel()
-    return model.g + model.H.matvec(s) + model.sigma * np.linalg.norm(s) * s
+    return g + H @ s + sigma * np.linalg.norm(s) * s
 
 
-def model_value(model, s: np.ndarray) -> float:
-    """m(s) = f0 + g.s + 0.5 s.Hs + (sigma/3) ||s||^3 of a CubicModel."""
+def model_value(g: np.ndarray, H: np.ndarray, sigma: float, s: np.ndarray) -> float:
+    """m(s) = g.s + 0.5 s.Hs + (sigma/3) ||s||^3 of the cubic model, dense H."""
     s = np.asarray(s, dtype=float).ravel()
     sn = np.linalg.norm(s)
-    return float(
-        model.f0 + model.g @ s + 0.5 * (s @ model.H.matvec(s)) + model.sigma / 3.0 * sn**3
-    )
+    return float(g @ s + 0.5 * (s @ (H @ s)) + sigma / 3.0 * sn**3)
 
 
 def snapshot(ledger) -> dict:

@@ -92,6 +92,21 @@ class TestLibsvmParsing:
             self._parse(tmp_path, "-1 1:1\n1 3:1 3:2\n")
         assert (e.value.line, e.value.column) == (2, 7)
 
+    @pytest.mark.parametrize("text,column", [
+        ("+1 1:1\n-1 2:nan\n", 6),
+        ("+1 1:1\n-1 1:0.5 2:inf\n", 12),
+        ("+1 1:1\n-1 1:1e400\n", 6),
+    ], ids=["nan", "inf", "overflow"])
+    def test_non_finite_value_has_position(self, tmp_path, text, column):
+        with pytest.raises(LibsvmFormatError, match="non-finite value") as e:
+            self._parse(tmp_path, text)
+        assert (e.value.line, e.value.column) == (2, column)
+
+    def test_non_finite_label_has_position(self, tmp_path):
+        with pytest.raises(LibsvmFormatError, match="non-finite label 'nan'") as e:
+            self._parse(tmp_path, "+1 1:1\n  nan 1:2\n")
+        assert (e.value.line, e.value.column) == (2, 3)
+
     def test_unsorted_unique_indices_accepted(self, tmp_path):
         ds = self._parse(tmp_path, "+1 3:2 1:0.5\n")
         assert np.array_equal(ds.A.toarray(), [[0.5, 0.0, 2.0]])
@@ -136,6 +151,10 @@ class TestSynthData:
         A = ds.A.toarray() if hasattr(ds.A, "toarray") else np.asarray(ds.A)
         norms = np.linalg.norm(A, axis=1)
         assert norms[0] > 10.0 * np.median(norms)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            synth_logistic(100, 5, -1, 1.0)
 
     def test_flip_fraction(self):
         ds = synth_logistic(5000, 10, 1, 1.0)
@@ -347,6 +366,15 @@ class TestCliGrid:
         assert all("status=error:ValueError" in r for r in rows[2:])
         assert "batch must be >= 1" in captured.err
         assert (tmp_path / "sarc_0.csv").exists() and (tmp_path / "sarc_1.csv").exists()
+
+
+    @pytest.mark.parametrize("seeds", ["", ","])
+    def test_empty_seed_list_is_a_usage_error(self, tmp_path, capsys, seeds):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["run", "--algo", "sarc", "--synth", "50,3,0,1", "--seed", seeds,
+                      "--out", str(tmp_path / "t.csv")])
+        assert e.value.code == 1
+        assert "argument --seed: no seed given" in capsys.readouterr().err
 
 
 class TestTraceIO:

@@ -5,15 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sarc.cubic import (
-    CubicModel,
-    TerminationSpec,
-    _tridiag_solve,
-    minimize_model,
-    solve_tridiagonal_cubic,
-)
+from sarc.cubic import THRESHOLDS, _tridiag_solve, minimize_model, solve_tridiagonal_cubic
 
-from oracles import cubic_global_min, fd_gradient, model_gradient, model_value
+from oracles import MatvecOnly, cubic_global_min, fd_gradient, model_gradient, model_value
 
 
 def _tridiag_dense(diag, off):
@@ -134,16 +128,6 @@ class TestTridiagonalSolve:
             solve_tridiagonal_cubic(np.array([1.0]), np.array([]), -1.0, 1.0)
 
 
-class _MatvecOnly:
-    """An operator with matvec access only (no dense matrix to read)."""
-
-    def __init__(self, M):
-        self._M = M
-
-    def matvec(self, v):
-        return self._M @ v
-
-
 def _banded_outcome(solve, diag, off, lam, rhs):
     try:
         return "ok", solve(diag, off, lam, rhs)
@@ -206,104 +190,98 @@ class TestModelPieces:
         H = rng.standard_normal((5, 5))
         H = 0.5 * (H + H.T)
         g = rng.standard_normal(5)
-        model = CubicModel(g, H, 0.7, f0=1.5)
         s = rng.standard_normal(5)
-        fd = fd_gradient(lambda z: model_value(model, z), s)
-        assert np.allclose(model_gradient(model, s), fd, rtol=1e-6, atol=1e-8)
-        assert model_value(model, np.zeros(5)) == pytest.approx(1.5)
+        fd = fd_gradient(lambda z: model_value(g, H, 0.7, z), s)
+        assert np.allclose(model_gradient(g, H, 0.7, s), fd, rtol=1e-6, atol=1e-8)
+        assert model_value(g, H, 0.7, np.zeros(5)) == 0.0
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            CubicModel(np.array([np.nan]), np.eye(1), 1.0)
-        with pytest.raises(ValueError):
-            CubicModel(np.array([1.0]), np.eye(1), 0.0)
+        one = MatvecOnly(np.eye(1))
+        for g in ([np.nan], [np.inf], [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="non-finite"):
+                minimize_model(np.array(g), one, 1.0, "condition_3_1", 0.05)
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma"):
+                minimize_model(np.array([1.0]), one, sigma, "condition_3_1", 0.05)
 
     def test_termination_spec(self):
-        s31 = TerminationSpec("condition_3_1", 0.1)
-        assert s31.threshold(2.0, 0.5) == pytest.approx(0.1 * 0.25)
-        assert s31.threshold(0.5, 2.0) == pytest.approx(0.1 * 0.125)
-        s41 = TerminationSpec("condition_4_1", 0.1)
-        assert s41.threshold(2.0, 0.5) == pytest.approx(0.1 * 0.5 * 0.5)
-        assert s41.threshold(0.5, 2.0) == pytest.approx(0.1 * 1.0 * 0.5)
-        with pytest.raises(ValueError):
-            TerminationSpec("condition_9_9", 0.1)
-        with pytest.raises(ValueError):
-            TerminationSpec("condition_3_1", 0.5)
-        with pytest.raises(ValueError):
-            TerminationSpec("condition_3_1", 0.0)
+        s31, s41 = THRESHOLDS["condition_3_1"], THRESHOLDS["condition_4_1"]
+        assert s31(0.1, 2.0, 0.5) == pytest.approx(0.1 * 0.25)
+        assert s31(0.1, 0.5, 2.0) == pytest.approx(0.1 * 0.125)
+        assert s41(0.1, 2.0, 0.5) == pytest.approx(0.1 * 0.5 * 0.5)
+        assert s41(0.1, 0.5, 2.0) == pytest.approx(0.1 * 1.0 * 0.5)
+        assert set(THRESHOLDS) == {"condition_3_1", "condition_4_1"}
+        one, g = MatvecOnly(np.eye(1)), np.array([1.0])
+        with pytest.raises(ValueError, match="condition_9_9"):
+            minimize_model(g, one, 1.0, "condition_9_9", 0.1)
+        for kappa in (0.5, 0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="kappa_theta"):
+                minimize_model(g, one, 1.0, "condition_3_1", kappa)
 
 
 class TestMinimizeModel:
-    def _random_model(self, rng, d, definite=None):
+    def _random_model(self, rng, d):
         H = rng.standard_normal((d, d))
         H = 0.5 * (H + H.T)
-        if definite == "psd":
-            H = H @ H.T / d + 0.1 * np.eye(d)
         g = rng.standard_normal(d)
         sigma = float(10.0 ** rng.uniform(-1, 1))
-        return CubicModel(g, H, sigma)
+        return g, H, sigma
 
     def test_reaches_oracle_value(self):
         # tiny kappa_theta forces a near-exact solve so the value must match
         # the global oracle; looser settings may stop early by design
         rng = np.random.default_rng(3)
-        spec = TerminationSpec("condition_3_1", 1e-8)
         for _ in range(60):
             d = int(rng.integers(2, 7))
-            model = self._random_model(rng, d)
-            res = minimize_model(model, spec)
-            dense = model.H.M if hasattr(model.H, "M") else model.H
-            s_star, _ = cubic_global_min(dense, model.g, model.sigma)
-            v_star = model_value(model, s_star)
-            v = model_value(model, res.s)
+            g, H, sigma = self._random_model(rng, d)
+            res = minimize_model(g, MatvecOnly(H), sigma, "condition_3_1", 1e-8)
+            s_star, _ = cubic_global_min(H, g, sigma)
+            v_star = model_value(g, H, sigma, s_star)
+            v = model_value(g, H, sigma, res.s)
             assert v <= v_star + 1e-6 * max(1.0, abs(v_star))
-            assert res.model_decrease == pytest.approx(model.f0 - v, abs=1e-10)
+            assert res.model_decrease == pytest.approx(-v, abs=1e-10)
 
     def test_termination_residual_honored(self):
         rng = np.random.default_rng(4)
         for kind in ("condition_3_1", "condition_4_1"):
-            spec = TerminationSpec(kind, 0.2)
             for _ in range(30):
-                model = self._random_model(rng, 6)
-                res = minimize_model(model, spec, grad_f_norm=np.linalg.norm(model.g))
+                g, H, sigma = self._random_model(rng, 6)
+                gn = np.linalg.norm(g)
+                res = minimize_model(g, MatvecOnly(H), sigma, kind, 0.2, grad_f_norm=gn)
                 if res.status == "converged":
-                    thr = spec.threshold(np.linalg.norm(model.g), np.linalg.norm(res.s))
-                    full = np.linalg.norm(model_gradient(model, res.s))
+                    thr = THRESHOLDS[kind](0.2, gn, np.linalg.norm(res.s))
+                    full = np.linalg.norm(model_gradient(g, H, sigma, res.s))
                     assert full <= thr + 1e-12
                     assert res.condition_met
 
     def test_identity_hessian_one_step(self):
         # Krylov space collapses after one vector; solution is exact there
         g = np.array([2.0, 0.0, 0.0])
-        model = CubicModel(g, np.eye(3), 1.0)
-        res = minimize_model(model, TerminationSpec("condition_3_1", 0.05))
+        res = minimize_model(g, MatvecOnly(np.eye(3)), 1.0, "condition_3_1", 0.05)
         assert res.status == "converged"
         assert res.k == 1
         # full-space solution solves 2 - t - t^2 = 0 along -e1
         assert np.allclose(res.s, [-1.0, 0.0, 0.0], atol=1e-12)
-        assert np.linalg.norm(model_gradient(model, res.s)) < 1e-10
+        assert np.linalg.norm(model_gradient(g, np.eye(3), 1.0, res.s)) < 1e-10
 
     def test_exhausted_flag(self):
-        rng = np.random.default_rng(5)
-        H = np.array([[1.0, 0.9], [0.9, 4.0]])
+        H = MatvecOnly(np.array([[1.0, 0.9], [0.9, 4.0]]))
         g = np.array([1.0, 1.0])
-        model = CubicModel(g, H, 1.0)
-        res = minimize_model(model, TerminationSpec("condition_3_1", 1e-8), max_dim=1)
+        res = minimize_model(g, H, 1.0, "condition_3_1", 1e-8, max_dim=1)
         assert res.status == "exhausted"
         assert not res.condition_met
         assert res.k == 1
         with pytest.raises(ValueError):
-            minimize_model(model, TerminationSpec("condition_3_1", 1e-8), max_dim=0)
+            minimize_model(g, H, 1.0, "condition_3_1", 1e-8, max_dim=0)
 
     def test_zero_gradient_short_circuit(self):
-        model = CubicModel(np.zeros(4), np.eye(4), 1.0)
-        res = minimize_model(model, TerminationSpec("condition_3_1", 0.05))
+        res = minimize_model(np.zeros(4), MatvecOnly(np.eye(4)), 1.0, "condition_3_1", 0.05)
         assert res.status == "converged" and np.all(res.s == 0.0) and res.hvp_count == 0
 
     def test_hvp_count_tracks_iterations(self):
         rng = np.random.default_rng(6)
-        model = self._random_model(rng, 8)
-        res = minimize_model(model, TerminationSpec("condition_3_1", 0.05))
+        g, H, sigma = self._random_model(rng, 8)
+        res = minimize_model(g, MatvecOnly(H), sigma, "condition_3_1", 0.05)
         assert res.hvp_count == res.k
         assert res.k >= 1
 
@@ -313,27 +291,12 @@ class TestMinimizeModel:
         rng = np.random.default_rng(9)
         for i in range(120):
             d = int(rng.integers(2, 30))
-            model = self._random_model(rng, d)
-            if i % 2:
-                model = CubicModel(model.g, _MatvecOnly(model.H.M), model.sigma,
-                                   f0=float(rng.standard_normal()))
+            g, H, sigma = self._random_model(rng, d)
             kind = ("condition_3_1", "condition_4_1")[i % 3 == 0]
-            spec = TerminationSpec(kind, float(rng.choice([1e-8, 0.05, 0.2])))
-            res = minimize_model(model, spec, max_dim=int(rng.integers(1, d + 1)))
-            gn = np.linalg.norm(model.g)
-            full = np.linalg.norm(model_gradient(model, res.s))
-            assert abs(res.grad_norm - full) <= 1e-10 * gn
+            kappa = float(rng.choice([1e-8, 0.05, 0.2]))
+            res = minimize_model(g, MatvecOnly(H), sigma, kind, kappa,
+                                 max_dim=int(rng.integers(1, d + 1)))
+            full = np.linalg.norm(model_gradient(g, H, sigma, res.s))
+            assert abs(res.grad_norm - full) <= 1e-10 * np.linalg.norm(g)
             assert res.model_decrease == pytest.approx(
-                model.f0 - model_value(model, res.s), rel=1e-10, abs=1e-10)
-
-    def test_operator_input(self):
-        # matvec-only access: results agree with the dense path
-        rng = np.random.default_rng(7)
-        H = rng.standard_normal((5, 5))
-        H = 0.5 * (H + H.T)
-        g = rng.standard_normal(5)
-        spec = TerminationSpec("condition_3_1", 0.05)
-        r1 = minimize_model(CubicModel(g, H, 1.0), spec)
-        r2 = minimize_model(CubicModel(g, _MatvecOnly(H), 1.0), spec)
-        assert np.allclose(r1.s, r2.s, rtol=1e-10, atol=1e-12)
-
+                -model_value(g, H, sigma, res.s), rel=1e-10, abs=1e-10)

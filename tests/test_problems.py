@@ -196,8 +196,13 @@ class TestValidation:
             LossModel("reg_logistic", 0.0, Dataset.from_dense([[1.0]], [0.5]))
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            LossModel("ridge_least_squares", -1.0, Dataset.from_dense([[1.0]], [1.0]))
+        ds = Dataset.from_dense([[1.0]], [1.0])
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+                LossModel("ridge_least_squares", lam, ds)
+        for c in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="linear term contains non-finite"):
+                LossModel("ridge_least_squares", 0.0, ds, linear=np.array([c]))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -172,33 +172,34 @@ _PLAN_CASES = {
     "nonuniform_larger": _tiny_curvature_model,  # uniform 40 < non-uniform
 }
 
-# (requested scheme, curvature case, fixed_size) -> (scheme, size, exact,
-# downgraded, curvature_sweeps); fixed_size "n" means exactly n
+# (requested scheme, curvature case, fixed_size) -> (weighted, size, exact,
+# downgraded, curvature_sweeps), where weighted means the plan keeps its
+# probabilities; fixed_size "n" means exactly n
 _PLAN_TABLE = [
-    ("uniform", "degenerate", None, ("uniform", 6, False, False, 0)),
-    ("uniform", "degenerate", 50, ("uniform", 50, False, False, 0)),
-    ("uniform", "degenerate", "n", ("uniform", 400, True, False, 0)),
-    ("uniform", "degenerate", 10**6, ("uniform", 400, True, False, 0)),
-    ("uniform", "nonuniform_smaller", None, ("uniform", 479, False, False, 0)),
-    ("uniform", "nonuniform_smaller", 50, ("uniform", 50, False, False, 0)),
-    ("uniform", "nonuniform_smaller", "n", ("uniform", 4000, True, False, 0)),
-    ("uniform", "nonuniform_smaller", 10**6, ("uniform", 4000, True, False, 0)),
-    ("uniform", "nonuniform_larger", None, ("uniform", 40, False, False, 0)),
-    ("uniform", "nonuniform_larger", 50, ("uniform", 50, False, False, 0)),
-    ("uniform", "nonuniform_larger", "n", ("uniform", 400, True, False, 0)),
-    ("uniform", "nonuniform_larger", 10**6, ("uniform", 400, True, False, 0)),
-    ("nonuniform", "degenerate", None, ("uniform", 6, False, True, 0)),
-    ("nonuniform", "degenerate", 50, ("uniform", 50, False, True, 0)),
-    ("nonuniform", "degenerate", "n", ("uniform", 400, True, True, 0)),
-    ("nonuniform", "degenerate", 10**6, ("uniform", 400, True, True, 0)),
-    ("nonuniform", "nonuniform_smaller", None, ("nonuniform", 120, False, False, 1)),
-    ("nonuniform", "nonuniform_smaller", 50, ("nonuniform", 50, False, False, 1)),
-    ("nonuniform", "nonuniform_smaller", "n", ("uniform", 4000, True, False, 1)),
-    ("nonuniform", "nonuniform_smaller", 10**6, ("uniform", 4000, True, False, 1)),
-    ("nonuniform", "nonuniform_larger", None, ("uniform", 40, False, True, 1)),
-    ("nonuniform", "nonuniform_larger", 50, ("uniform", 50, False, True, 1)),
-    ("nonuniform", "nonuniform_larger", "n", ("uniform", 400, True, True, 1)),
-    ("nonuniform", "nonuniform_larger", 10**6, ("uniform", 400, True, True, 1)),
+    ("uniform", "degenerate", None, (False, 6, False, False, 0)),
+    ("uniform", "degenerate", 50, (False, 50, False, False, 0)),
+    ("uniform", "degenerate", "n", (False, 400, True, False, 0)),
+    ("uniform", "degenerate", 10**6, (False, 400, True, False, 0)),
+    ("uniform", "nonuniform_smaller", None, (False, 479, False, False, 0)),
+    ("uniform", "nonuniform_smaller", 50, (False, 50, False, False, 0)),
+    ("uniform", "nonuniform_smaller", "n", (False, 4000, True, False, 0)),
+    ("uniform", "nonuniform_smaller", 10**6, (False, 4000, True, False, 0)),
+    ("uniform", "nonuniform_larger", None, (False, 40, False, False, 0)),
+    ("uniform", "nonuniform_larger", 50, (False, 50, False, False, 0)),
+    ("uniform", "nonuniform_larger", "n", (False, 400, True, False, 0)),
+    ("uniform", "nonuniform_larger", 10**6, (False, 400, True, False, 0)),
+    ("nonuniform", "degenerate", None, (False, 6, False, True, 0)),
+    ("nonuniform", "degenerate", 50, (False, 50, False, True, 0)),
+    ("nonuniform", "degenerate", "n", (False, 400, True, True, 0)),
+    ("nonuniform", "degenerate", 10**6, (False, 400, True, True, 0)),
+    ("nonuniform", "nonuniform_smaller", None, (True, 120, False, False, 1)),
+    ("nonuniform", "nonuniform_smaller", 50, (True, 50, False, False, 1)),
+    ("nonuniform", "nonuniform_smaller", "n", (False, 4000, True, False, 1)),
+    ("nonuniform", "nonuniform_smaller", 10**6, (False, 4000, True, False, 1)),
+    ("nonuniform", "nonuniform_larger", None, (False, 40, False, True, 1)),
+    ("nonuniform", "nonuniform_larger", 50, (False, 50, False, True, 1)),
+    ("nonuniform", "nonuniform_larger", "n", (False, 400, True, True, 1)),
+    ("nonuniform", "nonuniform_larger", 10**6, (False, 400, True, True, 1)),
 ]
 
 
@@ -209,15 +210,15 @@ class TestResolvePlan:
         fixed = model.n if fixed == "n" else fixed
         plan = resolve_plan(model, np.zeros(model.d), 0.8, 0.1, lipschitz_bounds(model),
                             scheme=requested, fixed_size=fixed)
-        got = (plan.scheme, plan.size, plan.exact, plan.downgraded, plan.curvature_sweeps)
+        weighted = plan.probabilities is not None
+        got = (weighted, plan.size, plan.exact, plan.downgraded, plan.curvature_sweeps)
         assert got == expected
-        assert (plan.probabilities is not None) == (plan.scheme == "nonuniform")
 
     def test_uniform_exact_cap(self):
         rng = np.random.default_rng(1)
         model, x = random_glm_instance(rng, "reg_logistic", n=20, d=5)
         plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model))
-        assert plan.exact and plan.size == 20 and plan.scheme == "uniform"
+        assert plan.exact and plan.size == 20 and plan.probabilities is None
 
     def test_pca_keeps_nonuniform(self):
         # curvature -1 everywhere: p_j is proportional to ||a_j||^2
@@ -226,7 +227,7 @@ class TestResolvePlan:
         model = LossModel("pca_quadratic", 2.0, Dataset.from_dense(A, np.zeros(40)))
         plan = resolve_plan(model, np.ones(3), 0.5, 0.1, lipschitz_bounds(model),
                             scheme="nonuniform", fixed_size=10)
-        assert plan.scheme == "nonuniform" and not plan.downgraded and not plan.exact
+        assert plan.probabilities is not None and not plan.downgraded and not plan.exact
         sq = np.sum(A * A, axis=1)
         assert np.allclose(plan.probabilities, sq / sq.sum(), rtol=1e-12, atol=0.0)
         assert plan.curvature_sweeps == 1
@@ -236,16 +237,15 @@ class TestResolvePlan:
                           Dataset.from_dense([[1.0], [2.0]], [1.0, -1.0]))
         plan = resolve_plan(model, np.zeros(1), 0.5, 0.1,
                             LipschitzInfo(1.0, 0.5), scheme="nonuniform")
-        assert plan.scheme == "uniform" and plan.downgraded
+        assert plan.probabilities is None and plan.downgraded
 
     def test_plan_picks_smaller_size(self):
         model = _tiny_curvature_model()
         lip = lipschitz_bounds(model)
         plan = resolve_plan(model, np.zeros(3), 0.9, 0.1, lip, scheme="nonuniform")
         uni = sample_size_uniform(0.45, 0.1, lip.L, 3, model.n)
-        assert plan.downgraded and plan.scheme == "uniform"
+        assert plan.downgraded and plan.probabilities is None
         assert plan.size == uni
-        assert plan.probabilities is None
         assert plan.curvature_sweeps == 1  # the sweep happened before the downgrade
 
     def test_nonuniform_kept_when_smaller(self):
@@ -259,10 +259,9 @@ class TestResolvePlan:
         lip = lipschitz_bounds(model)
         plan = resolve_plan(model, np.zeros(6), 0.8, 0.1, lip, scheme="nonuniform")
         uni = sample_size_uniform(0.4, 0.1, lip.L, 6, model.n)
-        assert plan.scheme == "nonuniform"
+        assert plan.probabilities is not None
         assert not plan.downgraded
         assert plan.size < uni < model.n
-        assert plan.probabilities is not None
 
     def test_fixed_size_override_still_capped(self):
         rng = np.random.default_rng(3)
@@ -300,7 +299,6 @@ class TestSampleStream:
         p = np.zeros(5)
         p[2] = 1.0
         plan = SamplingPlan(20, False, probabilities=p)
-        assert plan.scheme == "nonuniform"
         idx = SampleStream(7).draw(plan, 5)
         assert np.all(idx == 2)
 
@@ -416,7 +414,8 @@ class TestWeightsUnbiased:
         n, m = model.n, 200_000
         plan = resolve_plan(model, x, 0.5, 0.1, lipschitz_bounds(model),
                             scheme=scheme, fixed_size=n - 1)
-        assert plan.scheme == scheme and not plan.exact
+        assert (plan.probabilities is not None) == (scheme == "nonuniform")
+        assert not plan.exact
         op = SubsampledHessian(model, x, dataclasses.replace(plan, size=m), SampleStream(seed),
                                 shift=0.0)
         w = np.zeros(n)
