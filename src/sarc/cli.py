@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .bench import ALGORITHMS, RunSpec, exit_code, run_benchmark
+from .sarc_driver import SolverState
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,10 +136,13 @@ def _run_one(spec: RunSpec) -> tuple[str, int, str | None]:
     except Exception as exc:  # noqa: BLE001 - one failed run must not discard the grid
         report = f"{head}: {exc}\n{traceback.format_exc().rstrip()}"
         return f"{head} status=error:{type(exc).__name__} out={spec.out}", 1, report
+    counts = ""
+    if isinstance(result, SolverState):  # the cubic methods
+        counts = f"psd_violations={result.psd_violations} unmet={result.unmet_subproblems} "
     line = (
         f"{head} status={result.status} iters={len(result.trace) - 1} "
         f"epochs={result.ledger.epochs:.3f} f={result.f:.6e} "
-        f"grad_norm={result.grad_norm:.3e} out={spec.out}"
+        f"grad_norm={result.grad_norm:.3e} {counts}out={spec.out}"
     )
     return line, exit_code(result.status), None
 

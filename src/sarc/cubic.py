@@ -27,6 +27,21 @@ Termination conditions, THRESHOLDS (r = ||grad m(s)||, gn = ||grad f(x)||):
 
     condition_3_1: r <= kappa_theta * min(gn, gn^3, ||s||^2)
     condition_4_1: r <= kappa_theta * min(1, ||s||) * min(||s||, gn)
+
+Two departures from the paper's exact-arithmetic conditions let every
+Lanczos step reach the threshold it tests:
+
+- The threshold is floored at THRESHOLD_FLOOR * ||g|| (16 u ||g||, u the
+  machine epsilon), the level of rounding in r. Relative to ||g||,
+  condition 3.1 asks for kappa_theta * gn^2, which falls under 1e-15 once
+  gn < ~1e-7; no double-precision iterate can certify that.
+- The secular solve stops at SECULAR_TOL * ||g||, which lies above the
+  threshold once gn < ~4.5e-5. When a step misses its threshold while the
+  Lanczos part |beta_k y_k| of r is already within half of it, the miss is
+  the secular solve's own stopping point, not the subspace: the same
+  tridiagonal is solved once more with tol = threshold / 4 before the space
+  grows. Without it such a subproblem grows the space to k = d and still
+  ends unmet.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ import scipy.linalg.lapack
 
 SECULAR_TOL = 1e-10  # secular stationarity residual target, relative to ||g||
 SECULAR_MAX_ITER = 300  # Newton/bisection steps before the best iterate is returned
+THRESHOLD_FLOOR = 16.0 * np.finfo(float).eps  # termination threshold floor, relative to ||g||
 
 # threshold(kappa_theta, gn, ||s||) of each termination condition
 THRESHOLDS = {
@@ -91,11 +107,13 @@ def solve_tridiagonal_cubic(
     off: np.ndarray,
     gnorm: float,
     sigma: float,
+    tol: float | None = None,
 ) -> np.ndarray:
     """Global minimizer of gnorm*e1.y + 0.5 y.T y + (sigma/3)||y||^3.
 
     Returns subspace coordinates y. The stationarity residual
-    |sigma||y|| - lambda| * ||y|| is driven below SECULAR_TOL*gnorm. The
+    |sigma||y|| - lambda| * ||y|| is driven below `tol` (default
+    SECULAR_TOL*gnorm), or as close as the bracket allows. The
     minimal eigenpair is deflated from every shifted solve and handled
     analytically, so roots arbitrarily close to the barrier stay resolvable.
     The hard case (e1 orthogonal to the minimal eigenspace, only possible
@@ -106,10 +124,14 @@ def solve_tridiagonal_cubic(
     k = diag.shape[0]
     if off.shape[0] != max(k - 1, 0):
         raise ValueError("off-diagonal length must be k-1")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError("sigma must be > 0")
-    if gnorm < 0.0:
+    if not gnorm >= 0.0:
         raise ValueError("gnorm must be >= 0")
+    if tol is None:
+        tol = SECULAR_TOL * gnorm
+    elif not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and > 0")
 
     lam_min, v_min = _tridiag_eig_min(diag, off)
     barrier = max(0.0, -lam_min)
@@ -142,7 +164,6 @@ def solve_tridiagonal_cubic(
         tnorm += 2.0 * float(np.abs(off).max())
     # provable root bound: (lambda - ||T||)^2 <= sigma*gnorm at the root
     lam_hi = tnorm + np.sqrt(sigma * gnorm)
-    tol = SECULAR_TOL * gnorm
 
     # probe just right of the barrier to detect the hard case
     d_probe = max(barrier, 1.0) * 1e-13
@@ -236,7 +257,7 @@ def minimize_model(
     g = np.asarray(g, dtype=float).ravel()
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError("sigma must be > 0")
     if condition not in THRESHOLDS:
         raise ValueError(f"unknown termination condition {condition!r}")
@@ -274,17 +295,25 @@ def minimize_model(
         beta = float(np.linalg.norm(w))
 
         a, b = alphas[:k], betas[: k - 1]
-        y = solve_tridiagonal_cubic(a, b, gn, sigma)
-        sn = float(np.linalg.norm(y))
-        Ty = a * y
-        Ty[:-1] += b * y[1:]
-        Ty[1:] += b * y[:-1]
-        # Q_k^T grad m(s) and the component along q_{k+1}, which is beta y_k
-        grad_y = Ty + sigma * sn * y
-        grad_y[0] += gn
-        res = float(np.hypot(np.linalg.norm(grad_y), beta * y[-1]))
-        decrease = -(gn * float(y[0]) + 0.5 * float(y @ Ty) + sigma / 3.0 * sn**3)
-        met = res <= threshold(kappa_theta, grad_f_norm, sn)
+
+        def evaluate(tol=None):
+            y = solve_tridiagonal_cubic(a, b, gn, sigma, tol)
+            sn = float(np.linalg.norm(y))
+            Ty = a * y
+            Ty[:-1] += b * y[1:]
+            Ty[1:] += b * y[:-1]
+            # Q_k^T grad m(s) and the component along q_{k+1}, which is beta y_k
+            grad_y = Ty + sigma * sn * y
+            grad_y[0] += gn
+            res = float(np.hypot(np.linalg.norm(grad_y), beta * y[-1]))
+            decrease = -(gn * float(y[0]) + 0.5 * float(y @ Ty) + sigma / 3.0 * sn**3)
+            thr = max(threshold(kappa_theta, grad_f_norm, sn), THRESHOLD_FLOOR * gn)
+            return y, res, decrease, thr
+
+        y, res, decrease, thr = evaluate()
+        if res > thr and abs(beta * y[-1]) <= thr / 2.0:
+            y, res, decrease, thr = evaluate(thr / 4.0)
+        met = res <= thr
 
         if met:
             status = "converged"

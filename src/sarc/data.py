@@ -114,8 +114,9 @@ def synth_logistic(
     """
     if n < 1 or d < 1:
         raise ValueError("need n, d >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < 2**128:  # the width of a Philox key
+        side = ">= 0" if seed < 0 else "< 2**128"
+        raise ValueError(f"seed must be {side}, got {seed}")
     if skew <= 0.0 or scale <= 0.0:
         raise ValueError("skew and scale must be > 0")
     rng = np.random.default_rng(np.random.Philox(key=seed))

@@ -60,15 +60,15 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma1 <= 1.0:
+        if not self.gamma1 > 1.0:
             raise ValueError("gamma1 must be > 1")
-        if self.gamma3 <= 1.0:
+        if not self.gamma3 > 1.0:
             raise ValueError("gamma3 must be > 1")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
         if not 0.0 < self.sigma_min < 1.0:
             raise ValueError("sigma_min must lie in (0, 1)")
-        if self.sigma0 < self.sigma_min:
+        if not self.sigma0 >= self.sigma_min:
             raise ValueError("sigma0 must be >= sigma_min")
         kappa_cap = min(0.5, 2.0 * self.sigma_min / 3.0)
         if not 0.0 < self.kappa_theta < kappa_cap:
@@ -81,14 +81,15 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.grad_tol < 0.0:
+        if not self.grad_tol >= 0.0:
             raise ValueError("grad_tol must be >= 0")
-        if self.varsigma0 is not None and self.varsigma0 <= 0.0:
+        if self.varsigma0 is not None and not self.varsigma0 > 0.0:
             raise ValueError("varsigma0 must be > 0")
         if self.fixed_sample_size is not None and self.fixed_sample_size < 1:
             raise ValueError("fixed_sample_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed < 2**128:  # the width of a Philox key
+            side = ">= 0" if self.seed < 0 else "< 2**128"
+            raise ValueError(f"seed must be {side}, got {self.seed}")
 
 
 @dataclass
@@ -137,6 +138,7 @@ class SolverState:
     terminal: bool = False
     status: str = "running"
     psd_violations: int = 0
+    unmet_subproblems: int = 0  # subproblems that ended without meeting their condition
     y: np.ndarray | None = None
     grad_y: np.ndarray | None = None
     grad_y_norm: float = 0.0
@@ -177,14 +179,18 @@ def _subproblem(state: SolverState, config: SolverConfig,
                 g: np.ndarray, g_norm: float) -> SubproblemResult:
     """Minimize the cubic model with gradient g, the current operator and
     sigma, to condition 3.1 in phase "sarc" and to 4.1 in the accelerated
-    phases.
+    phases. A subproblem that misses its condition is counted in
+    `state.unmet_subproblems`; its step is still returned.
 
     Every driver's subproblem goes through this module's `minimize_model`,
     the name perfbench/tracing.py patches to count and time subproblems.
     """
     condition = "condition_3_1" if state.phase == "sarc" else "condition_4_1"
-    return minimize_model(g, state.H, state.sigma, condition, config.kappa_theta,
-                          grad_f_norm=g_norm)
+    sub = minimize_model(g, state.H, state.sigma, condition, config.kappa_theta,
+                         grad_f_norm=g_norm)
+    if not sub.condition_met:
+        state.unmet_subproblems += 1
+    return sub
 
 
 def _record(state: SolverState, *, success: bool | None) -> TraceRecord:
@@ -253,7 +259,7 @@ def sarc_init(
         x=x0.copy(), f=f0, grad=grad, grad_norm=gn,
         sigma=config.sigma0, eps_i=eps0, H=None, trace=[], ledger=ledger,
         stream=SampleStream(config.seed), lip=lipschitz_bounds(model), phase=phase,
-        probe_rng=np.random.default_rng(np.random.Philox(key=config.seed + 0x5EED)),
+        probe_rng=np.random.default_rng(np.random.Philox(key=(config.seed + 0x5EED) % 2**128)),
     )
     if gn <= config.grad_tol:
         _end(state, "stationary" if gn == 0.0 else "converged")

@@ -156,6 +156,11 @@ class TestSynthData:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             synth_logistic(100, 5, -1, 1.0)
 
+    def test_seed_bound_is_the_philox_key_width(self):
+        with pytest.raises(ValueError, match=r"seed must be < 2\*\*128"):
+            synth_logistic(10, 2, 2**128, 1.0)
+        assert synth_logistic(10, 2, 2**128 - 1, 1.0).n == 10
+
     def test_flip_fraction(self):
         ds = synth_logistic(5000, 10, 1, 1.0)
         # roughly 10% of labels disagree with a majority-fit direction; just
@@ -367,6 +372,15 @@ class TestCliGrid:
         assert "batch must be >= 1" in captured.err
         assert (tmp_path / "sarc_0.csv").exists() and (tmp_path / "sarc_1.csv").exists()
 
+    def test_cubic_rows_carry_psd_and_unmet_counts(self, tmp_path, capsys):
+        out = str(tmp_path / "{algo}.csv")
+        code = cli.main(["run", "--algo", "sarc,cr,sgd", "--synth", "200,4,0,1", "--x0-std", "1",
+                         "--max-iters", "30", "--out", out])
+        rows = capsys.readouterr().out.splitlines()
+        assert code in (0, 2) and len(rows) == 3
+        for row in rows[:2]:
+            assert " psd_violations=0 unmet=0 out=" in row
+        assert "psd_violations" not in rows[2] and "unmet" not in rows[2]
 
     @pytest.mark.parametrize("seeds", ["", ","])
     def test_empty_seed_list_is_a_usage_error(self, tmp_path, capsys, seeds):

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sarc.cubic import THRESHOLDS, _tridiag_solve, minimize_model, solve_tridiagonal_cubic
+from sarc.cubic import (
+    THRESHOLD_FLOOR,
+    THRESHOLDS,
+    _tridiag_solve,
+    minimize_model,
+    solve_tridiagonal_cubic,
+)
 
 from oracles import MatvecOnly, cubic_global_min, fd_gradient, model_gradient, model_value
 
@@ -41,6 +47,19 @@ def _cubic_subproblems(draw):
         cut = draw(st.integers(1, k - 1))
         off[cut - 1] = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]))
         diag[cut:] -= draw(_finite(0.0, 10.0))
+    gnorm = 10.0 ** draw(_finite(-3.0, 2.0))
+    sigma = 10.0 ** draw(_finite(-2.0, 1.0))
+    return diag, off, gnorm, sigma
+
+
+@st.composite
+def _irreducible_subproblems(draw):
+    """Random tridiagonal cubics with every coupling at least 0.1 in size: no
+    hard case, so the secular iteration alone decides the returned y."""
+    k = draw(st.integers(1, 8))
+    diag = np.array(draw(st.lists(_finite(-5.0, 5.0), min_size=k, max_size=k)))
+    off = np.array(draw(st.lists(st.one_of(_finite(-3.0, -0.1), _finite(0.1, 3.0)),
+                                 min_size=k - 1, max_size=k - 1)))
     gnorm = 10.0 ** draw(_finite(-3.0, 2.0))
     sigma = 10.0 ** draw(_finite(-2.0, 1.0))
     return diag, off, gnorm, sigma
@@ -119,6 +138,18 @@ class TestTridiagonalSolve:
             y_star, _ = cubic_global_min(T, g, sigma)
         assert val(y) <= val(y_star) + 1e-8 * max(1.0, abs(val(y_star)))
 
+    @settings(max_examples=200)
+    @given(_irreducible_subproblems(), _finite(-13.0, -4.0))
+    def test_tol_bounds_the_stationarity_residual(self, problem, exponent):
+        diag, off, gnorm, sigma = problem
+        # t relative to the scale at which the residual is rounded,
+        # ||g|| + (||T|| + sigma ||y||) ||y||
+        w = np.linalg.norm(solve_tridiagonal_cubic(diag, off, gnorm, sigma))
+        scale = gnorm + (np.linalg.norm(_tridiag_dense(diag, off), 2) + sigma * w) * w
+        t = 10.0**exponent * scale
+        y = solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol=t)
+        assert _stationarity(diag, off, gnorm, sigma, y) <= t
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             solve_tridiagonal_cubic(np.array([1.0, 2.0]), np.array([]), 1.0, 1.0)
@@ -126,6 +157,16 @@ class TestTridiagonalSolve:
             solve_tridiagonal_cubic(np.array([1.0]), np.array([]), 1.0, 0.0)
         with pytest.raises(ValueError):
             solve_tridiagonal_cubic(np.array([1.0]), np.array([]), -1.0, 1.0)
+
+    def test_nan_and_bad_tol_rejected(self):
+        one, none = np.array([1.0]), np.array([])
+        with pytest.raises(ValueError, match="sigma"):
+            solve_tridiagonal_cubic(one, none, 1.0, np.nan)
+        with pytest.raises(ValueError, match="gnorm"):
+            solve_tridiagonal_cubic(one, none, np.nan, 1.0)
+        for tol in (0.0, -1e-12, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol"):
+                solve_tridiagonal_cubic(one, none, 1.0, 1.0, tol=tol)
 
 
 def _banded_outcome(solve, diag, off, lam, rhs):
@@ -200,7 +241,7 @@ class TestModelPieces:
         for g in ([np.nan], [np.inf], [1.0, -np.inf]):
             with pytest.raises(ValueError, match="non-finite"):
                 minimize_model(np.array(g), one, 1.0, "condition_3_1", 0.05)
-        for sigma in (0.0, -1.0):
+        for sigma in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="sigma"):
                 minimize_model(np.array([1.0]), one, sigma, "condition_3_1", 0.05)
 
@@ -273,6 +314,27 @@ class TestMinimizeModel:
         assert res.k == 1
         with pytest.raises(ValueError):
             minimize_model(g, H, 1.0, "condition_3_1", 1e-8, max_dim=0)
+
+    @pytest.mark.parametrize("gn", [1e-5, 1e-7, 1e-9])
+    def test_small_gradient_meets_condition_below_full_dimension(self, gn):
+        # d = 200, cond 1e4: five curvatures up to 1e4 over a bulk in [1, 1.1].
+        # At these ||g|| condition 3.1 asks for less than the secular solve's
+        # default stopping point (1e-10 ||g||), or for less than rounding
+        # allows; the subproblem must still meet its (floored) threshold
+        # rather than grow the space to k = d. g_i ~ h_i keeps ||H|| ||s||
+        # near ||g||, so the 16u ||g|| floor lies above the rounding of r.
+        d = 200
+        rng = np.random.default_rng(0)
+        h = np.concatenate([np.logspace(1.0, 4.0, 5), 1.0 + 0.1 * rng.random(d - 5)])
+        u = h * rng.uniform(0.5, 1.5, d) * rng.choice([-1.0, 1.0], d)
+        g = gn * u / np.linalg.norm(u)
+        H = np.diag(h)
+        res = minimize_model(g, MatvecOnly(H), 1.0, "condition_3_1", 0.05)
+        assert res.condition_met and res.status == "converged"
+        assert res.k < d
+        full = np.linalg.norm(model_gradient(g, H, 1.0, res.s))
+        sn = np.linalg.norm(res.s)
+        assert full <= max(THRESHOLDS["condition_3_1"](0.05, gn, sn), THRESHOLD_FLOOR * gn)
 
     def test_zero_gradient_short_circuit(self):
         res = minimize_model(np.zeros(4), MatvecOnly(np.eye(4)), 1.0, "condition_3_1", 0.05)

@@ -113,11 +113,11 @@ GOLDEN = {
         "36fe2eb7a4ea81851c6cdbb29a5413093882c25b643b4e9cb6943963e7602689",
     ],
     "sampled_sarc_uniform": [
-        "3f2dabd10eb2bd1b941dca2cea627b01a471a7515b5321d15e1d268726b6a123",
+        "9422b62e6e95f4433b36586b07c75b9333aa4da2181c5b8e6a00c8ec32033350",
         "33b5743e4952ff74f7462e9b1715c058df9e07583db110110c0cc3f4f8dcf33c",
     ],
     "sampled_sarc_nonuniform": [
-        "cfb40f77cd620408fa1f6d7149f463d274533b20a44f80d68aac32f033032740",
+        "ae2c1ee8d8cb801dd8590e68f24a74ccb503471f6a223f22e5737839c0aa79e0",
         "23bd934248a4259b9b875ec586e917ddfd541a45f64a8f24be0727796e3660ad",
     ],
     "sampled_saarc_uniform": [
@@ -129,11 +129,11 @@ GOLDEN = {
         "7a070287af7f6575000a2fa410a77c29323089002c60ccd4a3b5961d49df73de",
     ],
     "sampled_sacr_uniform": [
-        "a01a6e1a385b8bbfd039e76462b66db1b659e21d83278650ef8001e131404b17",
+        "16c167b17e475171f8864fa000f5f9805d19b74cb2ab0693e21caacf574b0363",
         "bf73214b8d21d6bb612ff3ba80bed1e867dcdb1f4ab42318d3159e06c9de117d",
     ],
     "sampled_sacr_nonuniform": [
-        "9e51d30c0c89d8b2521d21bf0f932e0cd68d7a5138e33158a01b2058bf5de69b",
+        "6915c1e7f27614014acc5d23952140c9be82a6aaed61206589056751bdab1d9a",
         "ffe8a5a0de04473f32d39f6c273ba4aa01bb9e166705620bcc831c37b3bf8cde",
     ],
     "bench_sarc_nonuniform": [
@@ -157,11 +157,11 @@ GOLDEN = {
         "131916e091dce5ad72c0df2b8085f7530d196dcc9dfa5a5304206860082471c1",
     ],
     "family_ridge_sacr_nonuniform": [
-        "e59525f7bb521c296a0cdf949fe984085b3bdcd52c2fe7eec5359fa96eb82953",
+        "062404b5ff92b0fe37a49cc906ed1cbf26d117e5d00a5e9abee6672707dc8495",
         "9e9599361e36ddccba5f0bf1c92e3afa32f7ca6989a5478517d4b123feb54790",
     ],
     "criterion_8_pca": [
-        "ace0c169cf4e9fa1d3cffc554af53955fc97fee1ecf8d2528ef0266fd39b00cf",
+        "90d64237352c0467d9c7e7063c46a11f805dc3e979f7834095b27f68e5baa734",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
 }

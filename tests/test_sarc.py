@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from sarc import sarc_driver
 from sarc.accounting import EpochLedger
 from sarc.data import synth_logistic
 from sarc.problems import Dataset, LossModel
@@ -57,6 +61,20 @@ class TestSingleStep:
 
         sarc_step(state, model, cfg)  # the next, finite step proceeds as usual
         assert state.trace[-1].success is True
+
+    def test_unmet_subproblem_is_counted_and_its_step_taken(self, monkeypatch):
+        model = _half_norm_squared_model()
+        cfg = SolverConfig(exact_hessian=True, max_iters=2)
+        state = sarc_init(model, cfg, np.array([1.0]))
+        real = sarc_driver.minimize_model
+        monkeypatch.setattr(sarc_driver, "minimize_model", lambda *a, **kw: dataclasses.replace(
+            real(*a, **kw), status="exhausted", condition_met=False))
+        sarc_step(state, model, cfg)
+        assert state.unmet_subproblems == 1
+        assert state.trace[-1].success is True
+        monkeypatch.setattr(sarc_driver, "minimize_model", real)
+        sarc_step(state, model, cfg)
+        assert state.unmet_subproblems == 1
 
     def test_rejected_step_changes_nothing_but_sigma(self):
         # steep single-row logistic with a tiny sigma overshoots and is rejected
@@ -164,6 +182,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=-1)
 
+    @pytest.mark.parametrize("name", ["gamma1", "gamma3", "sigma0", "grad_tol", "varsigma0"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: float("nan")})
+
+    def test_seed_bound_is_the_philox_key_width(self):
+        with pytest.raises(ValueError, match=r"seed must be < 2\*\*128"):
+            SolverConfig(seed=2**128)
+        # the largest seed keys the sample stream and the probe generator
+        model = _half_norm_squared_model(2)
+        state = sarc_run(model, SolverConfig(seed=2**128 - 1, max_iters=3), np.ones(2))
+        assert state.status in ("converged", "max_iters")
+
 
 def _run_logistic(scheme="uniform", n=200, d=10, seed=0, **kw):
     ds = synth_logistic(n, d, seed, 1.0)
@@ -233,6 +264,22 @@ class TestFullRuns:
         assert state.status == "max_iters"
         assert not state.terminal
         assert state.iteration == 2
+
+    def test_sparse_logistic_meets_every_subproblem_condition(self):
+        # its last subproblems ask for residuals below the secular solve's
+        # default stopping point; they once grew the Krylov space to k = d
+        n, d, density = 2000, 100, 0.05
+        rng = np.random.default_rng(np.random.Philox(key=1))
+        A = sp.random(n, d, density=density, format="csr", random_state=rng,
+                      data_rvs=rng.standard_normal) * 0.3
+        w = rng.standard_normal(d) / np.sqrt(d * density) / 0.3
+        b = np.where(A @ w >= 0.0, 1.0, -1.0)
+        b[rng.random(n) < 0.1] *= -1.0
+        model = LossModel("reg_logistic", 1e-3, Dataset(A, b), reg_scale=0.5)
+        cfg = SolverConfig(grad_tol=1e-8, scheme="nonuniform", seed=1)
+        state = sarc_run(model, cfg, np.zeros(d))
+        assert state.status == "converged"
+        assert state.unmet_subproblems == 0
 
     def test_fixed_sample_size(self):
         state, _ = _run_logistic(n=250, d=5, seed=8, fixed_sample_size=40)
