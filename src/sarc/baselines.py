@@ -2,7 +2,7 @@
 (plain and accelerated), Nesterov's accelerated gradient, constant-step SGD,
 and a plain L-BFGS with Armijo backtracking.
 
-All baselines charge the shared ledger with what they actually query: one
+All baselines charge the run's ledger with what they actually query: one
 full gradient per iteration for AGD/L-BFGS, the batch size for SGD. Function
 values are free, and the full gradient norms written to the trace of SGD/AGD
 are diagnostics, not charged queries. Each first-order method is written as
@@ -13,6 +13,7 @@ the iteration cap and the divergence rule the cubic drivers share.
 from __future__ import annotations
 
 import functools
+import inspect
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -25,14 +26,14 @@ from .saarc_driver import saarc_run
 from .sarc_driver import SolverConfig, SolverState, TraceRecord, _diverged, sarc_run
 
 
-def cr_run(model: LossModel, config: SolverConfig, x0, ledger=None) -> SolverState:
+def cr_run(model: LossModel, config: SolverConfig, x0) -> SolverState:
     """Cubic regularization with the exact Hessian: sample size n, zero shift."""
-    return sarc_run(model, replace(config, exact_hessian=True), x0, ledger=ledger)
+    return sarc_run(model, replace(config, exact_hessian=True), x0)
 
 
-def acr_run(model: LossModel, config: SolverConfig, x0, ledger=None) -> SolverState:
+def acr_run(model: LossModel, config: SolverConfig, x0) -> SolverState:
     """Accelerated cubic regularization with the exact Hessian."""
-    return saarc_run(model, replace(config, exact_hessian=True), x0, ledger=ledger)
+    return saarc_run(model, replace(config, exact_hessian=True), x0)
 
 
 @dataclass
@@ -47,7 +48,7 @@ class BaselineResult:
 
 def _baseline(method):
     """Turn `method(model, config, x0, ledger, **options)`, a generator of
-    iterates, into a run `(model, config, x0, ledger=None, **options)`.
+    iterates, into a run `(model, config, x0, **options)` with its own ledger.
 
     Each (x, f, grad_norm) the generator yields, the start point first, is
     recorded; the run ends at the gradient tolerance, on divergence, at the
@@ -55,9 +56,8 @@ def _baseline(method):
     """
 
     @functools.wraps(method)
-    def run(model: LossModel, config: SolverConfig, x0, ledger: EpochLedger | None = None,
-            **options) -> BaselineResult:
-        ledger = ledger if ledger is not None else EpochLedger(model.n)
+    def run(model: LossModel, config: SolverConfig, x0, **options) -> BaselineResult:
+        ledger = EpochLedger(model.n)
         iterates = method(model, config, x0, ledger, **options)
         t0 = time.perf_counter()
         trace: list[TraceRecord] = []
@@ -83,6 +83,8 @@ def _baseline(method):
                 break
         return BaselineResult(x, f, gn, status, trace, ledger)
 
+    params = inspect.signature(method).parameters  # the run's own, without `ledger`
+    run.__signature__ = inspect.Signature([p for n, p in params.items() if n != "ledger"])
     return run
 
 
@@ -148,8 +150,11 @@ def sgd_run(model, config, x0, ledger, batch: int = 32, step: float | None = Non
         yield x, full_value(model, x), _diagnostic_norm(model, x)
 
 
+LBFGS_MEMORY = 10  # curvature pairs kept
+
+
 @_baseline
-def lbfgs_run(model, config, x0, ledger, memory: int = 10):
+def lbfgs_run(model, config, x0, ledger):
     """Two-loop-recursion L-BFGS with Armijo halving; a plain reference
     implementation, not a tuned production solver."""
     x = np.asarray(x0, dtype=float).ravel()
@@ -159,7 +164,7 @@ def lbfgs_run(model, config, x0, ledger, memory: int = 10):
     gn = float(np.linalg.norm(grad))
     yield x, f, gn
 
-    pairs: deque = deque(maxlen=memory)  # (s, y, 1/(s.y)), oldest first
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1/(s.y)), oldest first
     while True:
         q = grad.copy()
         alphas = []

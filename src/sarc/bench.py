@@ -35,30 +35,26 @@ CSV_HEADER = "iter,epochs,f,grad_norm,sigma,eps_i,sample_size,success,phase"
 
 @dataclass
 class RunSpec:
+    """One benchmark run; `config.seed` seeds the solver and the start point."""
+
     algo: str
     data_path: str | None = None
     synth: tuple | None = None  # (n, d, seed, skew)
     lam: float = 1e-5
-    scheme: str = "uniform"
-    eps: float = 1e-2
-    delta: float = 0.1
-    seed: int = 0
-    out: str | None = None
-    grad_tol: float = 1e-9
-    max_iters: int = 500
     x0_std: float = 5000.0
     batch: int = 32
-    config_overrides: dict = field(default_factory=dict)
+    out: str | None = None
+    config: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if (self.data_path is None) == (self.synth is None):
             raise ValueError("exactly one of data_path and synth is required")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be >= 0")
-        if self.x0_std < 0.0:
-            raise ValueError("x0-std must be >= 0")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not 0.0 <= self.x0_std < np.inf:
+            raise ValueError(f"x0_std must be finite and >= 0, got {self.x0_std}")
 
 
 def load_dataset(spec: RunSpec) -> Dataset:
@@ -89,20 +85,11 @@ def run_benchmark(spec: RunSpec) -> SolverState | BaselineResult:
     """Run one spec and return the solver's own result."""
     dataset = load_dataset(spec)
     model = build_model(dataset, spec.lam)
-    config = SolverConfig(
-        eps=spec.eps,
-        delta=spec.delta,
-        scheme=spec.scheme,
-        seed=spec.seed,
-        max_iters=spec.max_iters,
-        grad_tol=spec.grad_tol,
-        **spec.config_overrides,
-    )
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
+    rng = np.random.default_rng(np.random.SeedSequence([spec.config.seed, 17]))
     x0 = rng.standard_normal(dataset.d) * spec.x0_std
 
     kwargs = {"batch": spec.batch} if spec.algo == "sgd" else {}
-    result = SOLVERS[spec.algo](model, config, x0, **kwargs)
+    result = SOLVERS[spec.algo](model, spec.config, x0, **kwargs)
     if spec.out is not None:
         write_trace(spec.out, result.trace)
     return result

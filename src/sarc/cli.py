@@ -7,9 +7,10 @@ Exit codes (`bench.EXIT_CODES`): 0 when the gradient tolerance is reached,
 runs, line-search failures and failed estimating-sequence growth).
 Multiple comma-separated algorithms/seeds expand to a grid of runs; --jobs
 runs them in parallel, and --out must then contain {algo} / {seed}
-placeholders as needed to keep output files distinct. A run that raises
-prints a `status=error:<ExceptionType>` row (message and traceback on
-stderr) and the other rows are kept; any error row makes the exit code 1.
+placeholders as needed to keep output files distinct. A bad setting is a
+usage error before any run starts. A run that raises prints a
+`status=error:<ExceptionType>` row (message and traceback on stderr) and the
+other rows are kept; any error row makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .bench import ALGORITHMS, RunSpec, exit_code, run_benchmark
-from .sarc_driver import SolverState
+from .sarc_driver import SolverConfig, SolverState
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +66,17 @@ def _parse_seeds(text: str):
     return seeds
 
 
+def _parse_out(text: str):
+    try:
+        text.format(algo="sarc", seed=0)
+    except (KeyError, IndexError, ValueError, AttributeError) as exc:
+        bad = f"{{{exc.args[0]}}}" if isinstance(exc, KeyError) else f"({exc})"
+        raise argparse.ArgumentTypeError(
+            f"bad placeholder {bad} in {text!r}; the placeholders are {{algo}} and {{seed}}"
+        ) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bench", description="second-order benchmark runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,62 +87,51 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--data", help="LIBSVM text file")
     src.add_argument("--synth", type=_parse_synth, metavar="N,D,SEED,SKEW",
                      help="synthetic logistic data")
-    run.add_argument("--lambda", dest="lam", type=float, default=1e-5,
-                     help="regularization weight (default 1e-5)")
-    run.add_argument("--scheme", choices=("uniform", "nonuniform"), default="uniform")
-    run.add_argument("--eps", type=float, default=1e-2,
+    run.add_argument("--lambda", dest="lam", type=float, default=RunSpec.lam,
+                     help="regularization weight (default %(default)s)")
+    run.add_argument("--scheme", choices=("uniform", "nonuniform"), default=SolverConfig.scheme)
+    run.add_argument("--eps", type=float, default=SolverConfig.eps,
                      help="target optimality driving sample sizes")
-    run.add_argument("--delta", type=float, default=0.1,
+    run.add_argument("--delta", type=float, default=SolverConfig.delta,
                      help="total sampling failure probability")
-    run.add_argument("--seed", type=_parse_seeds, default=[0],
+    run.add_argument("--seed", type=_parse_seeds, default=[SolverConfig.seed],
                      help="RNG seed, or a comma list")
-    run.add_argument("--out", required=True,
+    run.add_argument("--out", required=True, type=_parse_out,
                      help="trace CSV path; use {algo}/{seed} placeholders for grids")
-    run.add_argument("--grad-tol", type=float, default=1e-9)
-    run.add_argument("--max-iters", type=int, default=500)
-    run.add_argument("--x0-std", type=float, default=5000.0,
+    run.add_argument("--grad-tol", type=float, default=SolverConfig.grad_tol)
+    run.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    run.add_argument("--x0-std", type=float, default=RunSpec.x0_std,
                      help="stddev of the Gaussian initial point; the cubic methods stall "
                           "at max_iters from the default on logistic loss, try 1.0")
-    run.add_argument("--batch", type=int, default=32, help="SGD batch size")
+    run.add_argument("--batch", type=int, default=RunSpec.batch, help="SGD batch size")
     run.add_argument("--jobs", type=int, default=1,
                      help="parallel processes for grid runs")
     return parser
 
 
 def _expand_specs(args) -> list[RunSpec]:
-    base = RunSpec(
-        algo=args.algo[0],
-        data_path=args.data,
-        synth=args.synth,
-        lam=args.lam,
-        scheme=args.scheme,
-        eps=args.eps,
-        delta=args.delta,
-        seed=args.seed[0],
-        out=args.out,
-        grad_tol=args.grad_tol,
-        max_iters=args.max_iters,
-        x0_std=args.x0_std,
-        batch=args.batch,
-    )
-    specs = []
-    for algo in args.algo:
-        for seed in args.seed:
-            out = args.out.format(algo=algo, seed=seed)
-            specs.append(replace(base, algo=algo, seed=seed, out=out))
-    if len(specs) > 1:
-        outs = [s.out for s in specs]
-        if len(set(outs)) != len(outs):
-            raise ValueError(
-                "grid runs need {algo}/{seed} placeholders in --out to keep files distinct"
-            )
+    """One spec per (algo, seed) cell; a bad setting raises ValueError."""
+    config = SolverConfig(eps=args.eps, delta=args.delta, scheme=args.scheme,
+                          grad_tol=args.grad_tol, max_iters=args.max_iters)
+    specs = [
+        RunSpec(algo=algo, data_path=args.data, synth=args.synth, lam=args.lam,
+                x0_std=args.x0_std, batch=args.batch, out=args.out.format(algo=algo, seed=seed),
+                config=replace(config, seed=seed))
+        for algo in args.algo
+        for seed in args.seed
+    ]
+    outs = [s.out for s in specs]
+    if len(set(outs)) != len(outs):
+        raise ValueError(
+            "grid runs need {algo}/{seed} placeholders in --out to keep files distinct"
+        )
     return specs
 
 
 def _run_one(spec: RunSpec) -> tuple[str, int, str | None]:
     """One grid row: its output line, exit code and error report (message and
     traceback; None unless the run raised)."""
-    head = f"algo={spec.algo} seed={spec.seed}"
+    head = f"algo={spec.algo} seed={spec.config.seed}"
     try:
         result = run_benchmark(spec)
     except Exception as exc:  # noqa: BLE001 - one failed run must not discard the grid
@@ -150,8 +151,13 @@ def _run_one(spec: RunSpec) -> tuple[str, int, str | None]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     try:
         specs = _expand_specs(args)
+    except ValueError as exc:  # a bad setting stops the grid before any run starts
+        parser.error(str(exc))
+    try:
         if args.jobs > 1 and len(specs) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rows = list(pool.map(_run_one, specs))

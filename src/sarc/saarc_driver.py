@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import EpochLedger
 from .problems import LossModel, full_gradient, full_value
 from .sampling import resolve_plan  # noqa: F401  perfbench/tracing.py patches it here
 from .sarc_driver import (
@@ -269,9 +268,8 @@ def saarc_run(
     model: LossModel,
     config: SolverConfig,
     x0: np.ndarray,
-    ledger: EpochLedger | None = None,
 ) -> SolverState:
-    state = sarc_init(model, config, x0, ledger=ledger, phase="one")
+    state = sarc_init(model, config, x0, phase="one")
     return run(state, model, config, STEPS)
 
 
@@ -279,13 +277,12 @@ def sacr_run(
     model: LossModel,
     config: SolverConfig,
     x0: np.ndarray,
-    ledger: EpochLedger | None = None,
 ) -> SolverState:
     """Accelerated scheme until relative progress <= 0.1, then local phase.
 
     `switch_iteration` is the iteration of the switch, None when the run
     ended before it.
     """
-    state = sarc_init(model, config, x0, ledger=ledger, phase="one")
+    state = sarc_init(model, config, x0, phase="one")
     state.hybrid = True
     return run(state, model, config, STEPS)

@@ -14,7 +14,7 @@ there.
 
 The Hessian rebuild is lazy: a fresh operator is sampled at the top of the
 next step only if x moved, which charges nothing extra on the terminal
-success. Epochs are charged through the shared ledger: one full gradient per
+success. Epochs are charged through the run's own ledger: one full gradient per
 accepted step, the sample size once per build, function values free.
 
 The run state, the Hessian build, the subproblem call, the trace record and
@@ -236,7 +236,6 @@ def sarc_init(
     model: LossModel,
     config: SolverConfig,
     x0: np.ndarray,
-    ledger: EpochLedger | None = None,
     phase: str = "sarc",
 ) -> SolverState:
     """Evaluate the start point, set eps0, and build the first Hessian there.
@@ -247,7 +246,7 @@ def sarc_init(
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape[0] != model.dataset.d:
         raise ValueError("x0 dimension mismatch")
-    ledger = ledger if ledger is not None else EpochLedger(model.dataset.n)
+    ledger = EpochLedger(model.n)
 
     grad = full_gradient(model, x0)
     ledger.add_gradient_pass()
@@ -339,6 +338,5 @@ def sarc_run(
     model: LossModel,
     config: SolverConfig,
     x0: np.ndarray,
-    ledger: EpochLedger | None = None,
 ) -> SolverState:
-    return run(sarc_init(model, config, x0, ledger=ledger), model, config)
+    return run(sarc_init(model, config, x0), model, config)

@@ -1,3 +1,4 @@
+import inspect
 import tempfile
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from sarc.bench import (
 )
 from sarc.data import LibsvmFormatError, parse_libsvm, synth_logistic
 from sarc.problems import Dataset, LossModel, full_value, lipschitz_bounds
-from sarc.sarc_driver import SolverConfig
+from sarc.sarc_driver import SolverConfig, sarc_init
 
 from oracles import diag_quadratic_problem, snapshot
 
@@ -310,6 +311,13 @@ class TestBaselines:
         res = sgd_run(model, cfg, np.zeros(4), batch=2)
         assert res.status == "converged"
 
+    def test_runs_take_model_config_x0_and_their_own_options_only(self):
+        for algo, solver in SOLVERS.items():
+            assert list(inspect.signature(solver).parameters)[:3] == ["model", "config", "x0"]
+            assert "ledger" not in inspect.signature(solver).parameters, algo
+        assert "ledger" not in inspect.signature(sarc_init).parameters
+        assert list(inspect.signature(lbfgs_run).parameters) == ["model", "config", "x0"]
+
     def test_lbfgs_line_search_failure_keeps_last_accepted_iterate(self, monkeypatch):
         # f is +inf everywhere except x0 and the first accepted iterate, so the
         # second line search exhausts its halvings
@@ -342,6 +350,13 @@ class TestRunSpec:
             RunSpec(algo="sarc", synth=(10, 2, 0, 1.0), lam=-1.0)
         with pytest.raises(ValueError):
             RunSpec(algo="sarc", synth=(10, 2, 0, 1.0), x0_std=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_settings_are_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match=r"^x0_std must be finite"):
+            RunSpec(algo="sarc", synth=(10, 2, 0, 1.0), x0_std=value)
+        with pytest.raises(ValueError, match=r"^lambda must be finite"):
+            RunSpec(algo="sarc", synth=(10, 2, 0, 1.0), lam=value)
 
     def test_exit_codes(self):
         expected = {"converged": 0, "stationary": 0, "max_iters": 2, "phase1_exhausted": 2,
@@ -390,13 +405,57 @@ class TestCliGrid:
         assert e.value.code == 1
         assert "argument --seed: no seed given" in capsys.readouterr().err
 
+    def test_defaults_come_from_the_config_and_the_spec(self):
+        args = cli.build_parser().parse_args(
+            ["run", "--algo", "sarc", "--synth", "50,3,0,1", "--out", "t.csv"])
+        [spec] = cli._expand_specs(args)
+        assert spec.config == SolverConfig()
+        plain = RunSpec(algo="sarc", synth=(50, 3, 0, 1.0))
+        assert (spec.lam, spec.x0_std, spec.batch) == (plain.lam, plain.x0_std, plain.batch)
+        assert spec == RunSpec(algo="sarc", synth=(50, 3, 0, 1.0), out="t.csv")
+
+    def _usage_error(self, tmp_path, capsys, *flags, out="{algo}_{seed}.csv"):
+        """Run a two-cell grid with `flags`; return the stderr of its usage error."""
+        with pytest.raises(SystemExit) as e:
+            cli.main(["run", "--algo", "sarc,sgd", "--synth", "50,3,0,1", *flags,
+                      "--out", str(tmp_path / out)])
+        captured = capsys.readouterr()
+        assert e.value.code == 1
+        assert captured.out == ""  # no rows: nothing ran
+        assert not list(tmp_path.iterdir())
+        return captured.err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--eps", "2"], "eps"),
+        (["--seed", "0,-1"], "seed"),
+        (["--max-iters", "-1"], "max_iters"),
+        (["--x0-std", "nan"], "x0_std"),
+        (["--x0-std", "inf"], "x0_std"),
+    ])
+    def test_bad_setting_is_one_usage_error_before_any_run(self, tmp_path, capsys,
+                                                            flags, field):
+        err = self._usage_error(tmp_path, capsys, *flags)
+        errors = [line for line in err.splitlines() if line.startswith("bench: error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"bench: error: {field} must ")
+
+    @pytest.mark.parametrize("out, named", [("{x}.csv", "{x}"), ("{.csv", "expected '}'")])
+    def test_bad_out_placeholder_is_a_usage_error(self, tmp_path, capsys, out, named):
+        err = self._usage_error(tmp_path, capsys, out=out)
+        assert "argument --out: bad placeholder" in err
+        assert named in err and "{algo} and {seed}" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        err = self._usage_error(tmp_path, capsys, "--jobs", jobs)
+        assert f"argument --jobs: must be >= 1, got {jobs}" in err
+
 
 class TestTraceIO:
-    def _spec(self, out, **kw):
-        base = dict(algo="sarc", synth=(80, 4, 0, 1.0), lam=1e-4, x0_std=2.0,
-                    grad_tol=1e-8, max_iters=120, out=out)
-        base.update(kw)
-        return RunSpec(**base)
+    def _spec(self, out, algo="sarc", **settings):
+        config = SolverConfig(**{"grad_tol": 1e-8, "max_iters": 120, **settings})
+        return RunSpec(algo=algo, synth=(80, 4, 0, 1.0), lam=1e-4, x0_std=2.0, out=out,
+                       config=config)
 
     def test_csv_shape_and_header(self, tmp_path):
         out = str(tmp_path / "t.csv")
@@ -456,7 +515,8 @@ class TestTraceIO:
     def test_all_algorithms_dispatch(self, tmp_path):
         for algo in ("sarc", "saarc", "sacr", "cr", "acr", "agd", "sgd", "lbfgs"):
             res = run_benchmark(RunSpec(algo=algo, synth=(60, 3, 1, 1.0), lam=1e-4,
-                                        x0_std=1.0, grad_tol=1e-5, max_iters=400))
+                                        x0_std=1.0,
+                                        config=SolverConfig(grad_tol=1e-5, max_iters=400)))
             assert res.status in EXIT_CODES, (algo, res.status)
             assert exit_code(res.status) in (0, 2), (algo, res.status)
             assert res.trace, algo
@@ -464,7 +524,7 @@ class TestTraceIO:
     def test_zero_iteration_cap_records_the_start_only(self):
         for algo in ALGORITHMS:
             res = run_benchmark(RunSpec(algo=algo, synth=(60, 3, 1, 1.0), lam=1e-4,
-                                        x0_std=1.0, max_iters=0))
+                                        x0_std=1.0, config=SolverConfig(max_iters=0)))
             assert len(res.trace) == 1, algo
             accelerated = algo in ("saarc", "sacr", "acr")
             assert res.status == ("phase1_exhausted" if accelerated else "max_iters"), algo

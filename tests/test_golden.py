@@ -38,8 +38,8 @@ SYNTH = (2000, 10, 0, 4.0)
 
 def _bench(algo, scheme="uniform", **overrides):
     def run():
-        spec = RunSpec(algo=algo, synth=SYNTH, x0_std=1.0, max_iters=60, scheme=scheme,
-                       config_overrides=overrides)
+        config = SolverConfig(max_iters=60, scheme=scheme, **overrides)
+        spec = RunSpec(algo=algo, synth=SYNTH, x0_std=1.0, config=config)
         return run_benchmark(spec)
     return run
 
