@@ -35,11 +35,10 @@ CSV_HEADER = "iter,epochs,f,grad_norm,sigma,eps_i,sample_size,success,phase"
 
 @dataclass
 class RunSpec:
-    """One benchmark run; `config.seed` seeds the solver and the start point."""
+    """One benchmark run on a given dataset; `config.seed` seeds the solver
+    and the start point."""
 
     algo: str
-    data_path: str | None = None
-    synth: tuple | None = None  # (n, d, seed, skew)
     lam: float = 1e-5
     x0_std: float = 5000.0
     batch: int = 32
@@ -49,18 +48,20 @@ class RunSpec:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
-        if (self.data_path is None) == (self.synth is None):
-            raise ValueError("exactly one of data_path and synth is required")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.x0_std < np.inf:
             raise ValueError(f"x0_std must be finite and >= 0, got {self.x0_std}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
-def load_dataset(spec: RunSpec) -> Dataset:
-    if spec.data_path is not None:
-        return parse_libsvm(spec.data_path)
-    n, d, seed, skew = spec.synth
+def load_dataset(data_path: str | None, synth: tuple | None) -> Dataset:
+    """The LIBSVM file at `data_path`, else the synthetic data `synth` =
+    (n, d, seed, skew) describes."""
+    if data_path is not None:
+        return parse_libsvm(data_path)
+    n, d, seed, skew = synth
     return synth_logistic(int(n), int(d), int(seed), float(skew))
 
 
@@ -81,9 +82,8 @@ def exit_code(status: str) -> int:
     return EXIT_CODES.get(status, 1)
 
 
-def run_benchmark(spec: RunSpec) -> SolverState | BaselineResult:
-    """Run one spec and return the solver's own result."""
-    dataset = load_dataset(spec)
+def run_benchmark(spec: RunSpec, dataset: Dataset) -> SolverState | BaselineResult:
+    """Run one spec on `dataset` and return the solver's own result."""
     model = build_model(dataset, spec.lam)
     rng = np.random.default_rng(np.random.SeedSequence([spec.config.seed, 17]))
     x0 = rng.standard_normal(dataset.d) * spec.x0_std

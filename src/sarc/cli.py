@@ -7,8 +7,9 @@ Exit codes (`bench.EXIT_CODES`): 0 when the gradient tolerance is reached,
 runs, line-search failures and failed estimating-sequence growth).
 Multiple comma-separated algorithms/seeds expand to a grid of runs; --jobs
 runs them in parallel, and --out must then contain {algo} / {seed}
-placeholders as needed to keep output files distinct. A bad setting is a
-usage error before any run starts. A run that raises prints a
+placeholders as needed to keep output files distinct. The dataset is
+loaded once for the whole grid; a bad setting or dataset is a usage error
+before any run starts. A run that raises prints a
 `status=error:<ExceptionType>` row (message and traceback on stderr) and the
 other rows are kept; any error row makes the exit code 1.
 """
@@ -20,8 +21,10 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 
-from .bench import ALGORITHMS, RunSpec, exit_code, run_benchmark
+from .bench import ALGORITHMS, RunSpec, exit_code, load_dataset, run_benchmark
+from .problems import Dataset
 from .sarc_driver import SolverConfig, SolverState
 
 
@@ -114,9 +117,8 @@ def _expand_specs(args) -> list[RunSpec]:
     config = SolverConfig(eps=args.eps, delta=args.delta, scheme=args.scheme,
                           grad_tol=args.grad_tol, max_iters=args.max_iters)
     specs = [
-        RunSpec(algo=algo, data_path=args.data, synth=args.synth, lam=args.lam,
-                x0_std=args.x0_std, batch=args.batch, out=args.out.format(algo=algo, seed=seed),
-                config=replace(config, seed=seed))
+        RunSpec(algo=algo, lam=args.lam, x0_std=args.x0_std, batch=args.batch,
+                out=args.out.format(algo=algo, seed=seed), config=replace(config, seed=seed))
         for algo in args.algo
         for seed in args.seed
     ]
@@ -128,12 +130,12 @@ def _expand_specs(args) -> list[RunSpec]:
     return specs
 
 
-def _run_one(spec: RunSpec) -> tuple[str, int, str | None]:
+def _run_one(spec: RunSpec, dataset: Dataset) -> tuple[str, int, str | None]:
     """One grid row: its output line, exit code and error report (message and
     traceback; None unless the run raised)."""
     head = f"algo={spec.algo} seed={spec.config.seed}"
     try:
-        result = run_benchmark(spec)
+        result = run_benchmark(spec, dataset)
     except Exception as exc:  # noqa: BLE001 - one failed run must not discard the grid
         report = f"{head}: {exc}\n{traceback.format_exc().rstrip()}"
         return f"{head} status=error:{type(exc).__name__} out={spec.out}", 1, report
@@ -155,14 +157,15 @@ def main(argv=None) -> int:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     try:
         specs = _expand_specs(args)
-    except ValueError as exc:  # a bad setting stops the grid before any run starts
+        dataset = load_dataset(args.data, args.synth)
+    except (ValueError, OSError) as exc:  # a bad setting or dataset stops the grid
         parser.error(str(exc))
     try:
         if args.jobs > 1 and len(specs) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_run_one, specs))
+                rows = list(pool.map(_run_one, specs, repeat(dataset)))
         else:
-            rows = [_run_one(spec) for spec in specs]
+            rows = [_run_one(spec, dataset) for spec in specs]
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"bench: error: {exc}\n")
         return 1

@@ -2,8 +2,9 @@
 
 The minimizer over a growing Krylov subspace is computed by the Lanczos
 process with full re-orthogonalization, one Hessian-vector product per Krylov
-step. Each subspace problem reduces, in the Lanczos basis, to a tridiagonal
-cubic whose stationarity system is
+step; the stored basis grows with k, so memory is O(k d), not O(d^2). Each
+subspace problem reduces, in the Lanczos basis, to a tridiagonal cubic whose
+stationarity system is
 
     (T + lambda I) y = -||g|| e1,   lambda = sigma ||y||,
 
@@ -23,7 +24,7 @@ s = Q_k y,
 
 so no full-space gradient is formed and s is lifted once, on return.
 
-Termination conditions, THRESHOLDS (r = ||grad m(s)||, gn = ||grad f(x)||):
+Termination conditions, THRESHOLDS (r = ||grad m(s)||, gn = ||g|| = ||grad f(x)||):
 
     condition_3_1: r <= kappa_theta * min(gn, gn^3, ||s||^2)
     condition_4_1: r <= kappa_theta * min(1, ||s||) * min(||s||, gn)
@@ -69,8 +70,10 @@ class SubproblemResult:
     model_decrease: float  # m(0) - m(s) = -(g.s + 0.5 s.Hs + sigma/3 ||s||^3)
     grad_norm: float  # ||grad m(s)||, from the Lanczos recurrence
     k: int  # Krylov dimension reached
+    # hvp_count is always k and condition_met always status == "converged";
+    # both stay only because perfbench/tracing.py reads them
     hvp_count: int
-    status: str  # converged | breakdown | exhausted
+    status: str  # converged | breakdown
     condition_met: bool = True
 
 
@@ -239,8 +242,6 @@ def minimize_model(
     sigma: float,
     condition: str,
     kappa_theta: float,
-    grad_f_norm: float | None = None,
-    max_dim: int | None = None,
 ) -> SubproblemResult:
     """Lanczos/Krylov minimization of g.s + 0.5 s.Hs + (sigma/3)||s||^3 until
     the termination rule `condition` (a key of THRESHOLDS) holds.
@@ -249,10 +250,11 @@ def minimize_model(
     time (full re-orthogonalization, one Hessian-vector product per step),
     solves each subspace problem exactly through the tridiagonal secular
     equation, and checks the termination residual from the Lanczos
-    recurrence; the iterate is lifted to full space once, on return.
-    Breakdown (invariant subspace) returns the subspace solution, which is
-    then globally optimal over the reachable space; exhausting max_dim
-    returns the last iterate flagged 'exhausted'.
+    recurrence; the iterate is lifted to full space once, on return. The
+    basis is stored in a buffer of min(d, 16) rows that doubles when k
+    outgrows it. Breakdown (an invariant subspace, which k = d always is)
+    returns the subspace solution, globally optimal over the reachable
+    space, flagged 'breakdown' when it misses the condition.
     """
     g = np.asarray(g, dtype=float).ravel()
     if not np.all(np.isfinite(g)):
@@ -266,23 +268,20 @@ def minimize_model(
     threshold = THRESHOLDS[condition]
     gn = float(np.linalg.norm(g))
     d = g.shape[0]
-    if grad_f_norm is None:
-        grad_f_norm = gn
     if gn == 0.0:
         return SubproblemResult(np.zeros(d), 0.0, 0.0, 0, 0, "converged")
-    if max_dim is None:
-        max_dim = d
-    if max_dim < 1:
-        raise ValueError("max_dim must be >= 1")
-    max_dim = min(max_dim, d)
 
-    Q = np.empty((max_dim, d))
-    alphas = np.empty(max_dim)
-    betas = np.empty(max_dim)
+    Q = np.empty((min(d, 16), d))
+    alphas = np.empty(d)
+    betas = np.empty(d)
     q = g / gn
     beta_prev = 0.0
 
-    for k in range(1, max_dim + 1):
+    for k in range(1, d + 1):
+        if k > Q.shape[0]:
+            grown = np.empty((min(d, 2 * Q.shape[0]), d))
+            grown[: k - 1] = Q
+            Q = grown
         Q[k - 1] = q
         w = H.matvec(q)
         if k > 1:
@@ -307,7 +306,7 @@ def minimize_model(
             grad_y[0] += gn
             res = float(np.hypot(np.linalg.norm(grad_y), beta * y[-1]))
             decrease = -(gn * float(y[0]) + 0.5 * float(y @ Ty) + sigma / 3.0 * sn**3)
-            thr = max(threshold(kappa_theta, grad_f_norm, sn), THRESHOLD_FLOOR * gn)
+            thr = max(threshold(kappa_theta, gn, sn), THRESHOLD_FLOOR * gn)
             return y, res, decrease, thr
 
         y, res, decrease, thr = evaluate()
@@ -317,10 +316,9 @@ def minimize_model(
 
         if met:
             status = "converged"
-        elif beta == 0.0 or beta <= 1e-12 * max(np.abs(a).max(), np.abs(b).max(initial=0.0)):
+        elif (k == d or beta == 0.0
+              or beta <= 1e-12 * max(np.abs(a).max(), np.abs(b).max(initial=0.0))):
             status = "breakdown"
-        elif k == max_dim:
-            status = "exhausted"
         else:
             betas[k - 1] = beta
             beta_prev = beta

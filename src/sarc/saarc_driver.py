@@ -109,9 +109,8 @@ def relative_progress_trigger(f_old: float, f_new: float) -> bool:
     return abs(f_new - f_old) <= 0.1 * (1.0 + abs(f_old))
 
 
-def _audit_sequence(state: SolverState, config: SolverConfig, z: np.ndarray, threshold: float):
+def _audit_sequence(seq: EstimatingSequence, z: np.ndarray, threshold: float):
     """Numeric guards on the estimating sequence at every successful step."""
-    seq = state.seq
     psi_z = seq.psi_value(z)
     if not psi_z >= threshold:  # nan fails too
         raise AssertionError(
@@ -125,16 +124,6 @@ def _audit_sequence(state: SolverState, config: SolverConfig, z: np.ndarray, thr
     resid = float(np.linalg.norm(seq.psi_grad(z)))
     if not resid <= 1e-10 * scale:
         raise AssertionError(f"psi minimizer residual {resid} exceeds 1e-10 relative")
-    if config.psi_probes:
-        d = z.shape[0]
-        std = 1.0 + float(np.linalg.norm(z - seq.xbar1))
-        probes = z + state.probe_rng.standard_normal((20, d)) * std
-        floor = seq.varsigma / 12.0
-        for zp in probes:
-            lhs = seq.psi_value(zp) - psi_z
-            rhs = floor * float(np.linalg.norm(zp - z)) ** 3
-            if lhs < rhs - 1e-9 * (1.0 + abs(psi_z) + abs(lhs)):
-                raise AssertionError("cubic-growth inequality violated at a probe point")
 
 
 def _switch(state: SolverState, config: SolverConfig) -> None:
@@ -152,7 +141,7 @@ def phase1_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     step with m - f(x+s) > 0 is accepted and starts phase two."""
     if state.terminal or state.phase != "one":
         raise RuntimeError("phase1_step requires a live phase-one state")
-    sub = _subproblem(state, config, state.grad, state.grad_norm)
+    sub = _subproblem(state, config, state.grad)
     x_trial = state.x + sub.s
     accept = _finite(x_trial)
     if accept:
@@ -162,7 +151,6 @@ def phase1_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     if not accept:
         return _reject(state, config)
 
-    state.T1 = state.iteration
     state.x = x_trial
     f_old = state.f
     state.f = f_trial
@@ -175,9 +163,8 @@ def phase1_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     elif state.hybrid and relative_progress_trigger(f_old, state.f):
         _switch(state, config)
     else:
-        varsigma0 = config.varsigma0 if config.varsigma0 is not None else config.sigma0
         state.seq = EstimatingSequence(
-            xbar1=state.x.copy(), varsigma=varsigma0,
+            xbar1=state.x.copy(), varsigma=config.sigma0,
             lin_const=state.f, lin_grad=np.zeros(model.dataset.d),
         )
         # z1 = xbar1, so y1 = 1/4 xbar1 + 3/4 z1 is the anchor itself
@@ -195,7 +182,7 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     """One accelerated iteration at the extrapolation point y_l."""
     if state.terminal or state.phase != "two":
         raise RuntimeError("phase2_step requires a live phase-two state")
-    sub = _subproblem(state, config, state.grad_y, state.grad_y_norm)
+    sub = _subproblem(state, config, state.grad_y)
     s = sub.s
     sn = float(np.linalg.norm(s))
     state.iteration += 1
@@ -224,7 +211,7 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
         _record(state, success=False)
         return state
     state.T3 += growths
-    _audit_sequence(state, config, z, threshold)
+    _audit_sequence(seq, z, threshold)
 
     state.x = x_trial
     state.f = f_new

@@ -55,8 +55,6 @@ class SolverConfig:
     grad_tol: float = 1e-9
     exact_hessian: bool = False
     fixed_sample_size: int | None = None
-    varsigma0: float | None = None  # estimating-sequence weight; defaults to sigma0
-    psi_probes: bool = False  # sample the cubic-growth inequality at 20 points per success
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +81,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if not self.grad_tol >= 0.0:
             raise ValueError("grad_tol must be >= 0")
-        if self.varsigma0 is not None and not self.varsigma0 > 0.0:
-            raise ValueError("varsigma0 must be > 0")
         if self.fixed_sample_size is not None and self.fixed_sample_size < 1:
             raise ValueError("fixed_sample_size must be >= 1")
         if not 0 <= self.seed < 2**128:  # the width of a Philox key
@@ -117,8 +113,8 @@ class SolverState:
     phases of the accelerated one; the hybrid flips "one"/"two" to "sarc" at
     its switch when `hybrid` is set. `x`, `f`, `grad`, `grad_norm` always
     describe the iterate (the anchor xbar_l in phase two); `y`, `grad_y`,
-    `grad_y_norm`, `seq`, `l` and the T counters belong to the accelerated
-    phases.
+    `grad_y_norm`, `seq`, `l` and `T3` (the count of varsigma growths)
+    belong to the accelerated phases.
     """
 
     x: np.ndarray
@@ -144,11 +140,9 @@ class SolverState:
     grad_y_norm: float = 0.0
     seq: EstimatingSequence | None = None
     l: int = 0
-    T1: int = 0
     T3: int = 0
     hybrid: bool = False  # switch to "sarc" once a success makes little progress
     switch_iteration: int | None = None  # hybrid only: iteration of the switch to "sarc"
-    probe_rng: np.random.Generator | None = None
     t0: float = field(default_factory=time.perf_counter)
 
 
@@ -175,8 +169,7 @@ def _build(state: SolverState, model: LossModel, config: SolverConfig, point: np
     state.needs_rebuild = False
 
 
-def _subproblem(state: SolverState, config: SolverConfig,
-                g: np.ndarray, g_norm: float) -> SubproblemResult:
+def _subproblem(state: SolverState, config: SolverConfig, g: np.ndarray) -> SubproblemResult:
     """Minimize the cubic model with gradient g, the current operator and
     sigma, to condition 3.1 in phase "sarc" and to 4.1 in the accelerated
     phases. A subproblem that misses its condition is counted in
@@ -186,8 +179,7 @@ def _subproblem(state: SolverState, config: SolverConfig,
     the name perfbench/tracing.py patches to count and time subproblems.
     """
     condition = "condition_3_1" if state.phase == "sarc" else "condition_4_1"
-    sub = minimize_model(g, state.H, state.sigma, condition, config.kappa_theta,
-                         grad_f_norm=g_norm)
+    sub = minimize_model(g, state.H, state.sigma, condition, config.kappa_theta)
     if not sub.condition_met:
         state.unmet_subproblems += 1
     return sub
@@ -258,7 +250,6 @@ def sarc_init(
         x=x0.copy(), f=f0, grad=grad, grad_norm=gn,
         sigma=config.sigma0, eps_i=eps0, H=None, trace=[], ledger=ledger,
         stream=SampleStream(config.seed), lip=lipschitz_bounds(model), phase=phase,
-        probe_rng=np.random.default_rng(np.random.Philox(key=(config.seed + 0x5EED) % 2**128)),
     )
     if gn <= config.grad_tol:
         _end(state, "stationary" if gn == 0.0 else "converged")
@@ -281,7 +272,7 @@ def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> Sol
     if state.needs_rebuild:
         _build(state, model, config, state.x)
 
-    sub = _subproblem(state, config, state.grad, state.grad_norm)
+    sub = _subproblem(state, config, state.grad)
     x_trial = state.x + sub.s
     finite = _finite(x_trial)
     f_trial = full_value(model, x_trial) if finite else np.inf

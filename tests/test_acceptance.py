@@ -53,7 +53,7 @@ from oracles import (
     spectral_error,
     unshifted_dense,
 )
-from phases import run_phase_one
+from phases import run_phase_one, saarc_run_probing_growth
 
 
 class _Criterion:
@@ -192,7 +192,7 @@ def test_criterion_4_subproblem_oracle_equivalence(capsys):
 
             # tight solve: value within 1e-6 of the eigenbasis global minimum
             _, v_star = cubic_global_min(H, g, sigma)
-            res = minimize_model(g, op, sigma, "condition_3_1", 1e-8, grad_f_norm=gn)
+            res = minimize_model(g, op, sigma, "condition_3_1", 1e-8)
             v = model_value(g, H, sigma, res.s)
             c.check(
                 abs(v - v_star) <= 1e-6 * max(1.0, abs(v_star)),
@@ -201,7 +201,7 @@ def test_criterion_4_subproblem_oracle_equivalence(capsys):
 
             # loose solves: the advertised residual bounds hold verbatim
             for kind in ("condition_3_1", "condition_4_1"):
-                r2 = minimize_model(g, op, sigma, kind, 0.1, grad_f_norm=gn)
+                r2 = minimize_model(g, op, sigma, kind, 0.1)
                 resid = float(np.linalg.norm(model_gradient(g, H, sigma, r2.s)))
                 sn = float(np.linalg.norm(r2.s))
                 if kind == "condition_3_1":
@@ -276,12 +276,12 @@ def test_criterion_7_estimating_sequence_invariants(capsys):
         model = LossModel("reg_logistic", 1e-4, ds, reg_scale=0.5)
         # completing without an AssertionError is the point; the accelerated
         # scheme alone only closes the gap at l^-3, so cap iterations, not f
-        cfg = SolverConfig(exact_hessian=True, grad_tol=1e-8, max_iters=200,
-                           psi_probes=True, seed=4)
-        state = saarc_run(model, cfg, np.full(8, 1.0))
+        cfg = SolverConfig(exact_hessian=True, grad_tol=1e-8, max_iters=200, seed=4)
+        state, probed = saarc_run_probing_growth(model, cfg, np.full(8, 1.0), seed=4)
         c.check(state.status in ("converged", "max_iters"), f"status {state.status}")
         audited = sum(r.phase == "two" and bool(r.success) for r in state.trace)
         c.check(audited >= 20, f"audit exercised only {audited} times")
+        c.check(probed == audited, f"probed {probed} of {audited} successes")
 
         # the guard must actually reject a corrupted minimizer
         qmodel, _, _ = diag_quadratic_problem(d=5, cond=10.0)
@@ -291,7 +291,7 @@ def test_criterion_7_estimating_sequence_invariants(capsys):
         phase2_step(qstate, qmodel, qcfg)
         z = qstate.seq.argmin()
         with pytest.raises(AssertionError):
-            _audit_sequence(qstate, qcfg, z + 1.0, qstate.seq.psi_value(z) + 1e3)
+            _audit_sequence(qstate.seq, z + 1.0, qstate.seq.psi_value(z) + 1e3)
 
 
 def test_criterion_8_epoch_accounting(capsys, tmp_path):

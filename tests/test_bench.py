@@ -341,22 +341,20 @@ class TestBaselines:
 class TestRunSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunSpec(algo="newton", synth=(10, 2, 0, 1.0))
+            RunSpec(algo="newton")
         with pytest.raises(ValueError):
-            RunSpec(algo="sarc")  # no source
+            RunSpec(algo="sarc", lam=-1.0)
         with pytest.raises(ValueError):
-            RunSpec(algo="sarc", data_path="x", synth=(10, 2, 0, 1.0))
-        with pytest.raises(ValueError):
-            RunSpec(algo="sarc", synth=(10, 2, 0, 1.0), lam=-1.0)
-        with pytest.raises(ValueError):
-            RunSpec(algo="sarc", synth=(10, 2, 0, 1.0), x0_std=-1.0)
+            RunSpec(algo="sarc", x0_std=-1.0)
+        with pytest.raises(ValueError, match=r"^batch must be >= 1, got 0"):
+            RunSpec(algo="sgd", batch=0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_settings_are_rejected_by_name(self, value):
         with pytest.raises(ValueError, match=r"^x0_std must be finite"):
-            RunSpec(algo="sarc", synth=(10, 2, 0, 1.0), x0_std=value)
+            RunSpec(algo="sarc", x0_std=value)
         with pytest.raises(ValueError, match=r"^lambda must be finite"):
-            RunSpec(algo="sarc", synth=(10, 2, 0, 1.0), lam=value)
+            RunSpec(algo="sarc", lam=value)
 
     def test_exit_codes(self):
         expected = {"converged": 0, "stationary": 0, "max_iters": 2, "phase1_exhausted": 2,
@@ -369,10 +367,12 @@ class TestRunSpec:
 class TestCliGrid:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_run_keeps_the_other_rows(self, tmp_path, capsys, jobs):
-        # sgd rejects --batch 0 while sarc ignores it: one bad spec among good ones
-        out = str(tmp_path / "{algo}_{seed}.csv")
+        # sgd's trace goes to a directory that does not exist: one run fails
+        # after it ran, among good ones
+        (tmp_path / "sarc").mkdir()
+        out = str(tmp_path / "{algo}" / "{seed}.csv")
         code = cli.main(["run", "--algo", "sarc,sgd", "--synth", "200,4,0,1", "--x0-std", "1",
-                         "--batch", "0", "--max-iters", "30", "--seed", "0,1",
+                         "--max-iters", "30", "--seed", "0,1",
                          "--jobs", str(jobs), "--out", out])
         captured = capsys.readouterr()
         rows = captured.out.splitlines()
@@ -383,9 +383,19 @@ class TestCliGrid:
             ["algo=sgd", "seed=0"], ["algo=sgd", "seed=1"],
         ]
         assert all("status=converged" in r for r in rows[:2])
-        assert all("status=error:ValueError" in r for r in rows[2:])
-        assert "batch must be >= 1" in captured.err
-        assert (tmp_path / "sarc_0.csv").exists() and (tmp_path / "sarc_1.csv").exists()
+        assert all("status=error:FileNotFoundError" in r for r in rows[2:])
+        assert "No such file or directory" in captured.err
+        assert (tmp_path / "sarc" / "0.csv").exists() and (tmp_path / "sarc" / "1.csv").exists()
+
+    def test_grid_loads_the_dataset_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "load_dataset",
+                            lambda *a: calls.append(a) or bench.load_dataset(*a))
+        code = cli.main(["run", "--algo", "sarc,cr", "--synth", "200,4,0,1", "--x0-std", "1",
+                         "--max-iters", "30", "--seed", "0,1",
+                         "--out", str(tmp_path / "{algo}_{seed}.csv")])
+        assert code == 0 and len(capsys.readouterr().out.splitlines()) == 4
+        assert calls == [(None, (200, 4, 0, 1.0))]
 
     def test_cubic_rows_carry_psd_and_unmet_counts(self, tmp_path, capsys):
         out = str(tmp_path / "{algo}.csv")
@@ -410,14 +420,15 @@ class TestCliGrid:
             ["run", "--algo", "sarc", "--synth", "50,3,0,1", "--out", "t.csv"])
         [spec] = cli._expand_specs(args)
         assert spec.config == SolverConfig()
-        plain = RunSpec(algo="sarc", synth=(50, 3, 0, 1.0))
+        plain = RunSpec(algo="sarc")
         assert (spec.lam, spec.x0_std, spec.batch) == (plain.lam, plain.x0_std, plain.batch)
-        assert spec == RunSpec(algo="sarc", synth=(50, 3, 0, 1.0), out="t.csv")
+        assert spec == RunSpec(algo="sarc", out="t.csv")
 
-    def _usage_error(self, tmp_path, capsys, *flags, out="{algo}_{seed}.csv"):
+    def _usage_error(self, tmp_path, capsys, *flags, out="{algo}_{seed}.csv",
+                     source=("--synth", "50,3,0,1")):
         """Run a two-cell grid with `flags`; return the stderr of its usage error."""
         with pytest.raises(SystemExit) as e:
-            cli.main(["run", "--algo", "sarc,sgd", "--synth", "50,3,0,1", *flags,
+            cli.main(["run", "--algo", "sarc,sgd", *source, *flags,
                       "--out", str(tmp_path / out)])
         captured = capsys.readouterr()
         assert e.value.code == 1
@@ -431,6 +442,7 @@ class TestCliGrid:
         (["--max-iters", "-1"], "max_iters"),
         (["--x0-std", "nan"], "x0_std"),
         (["--x0-std", "inf"], "x0_std"),
+        (["--batch", "0"], "batch"),
     ])
     def test_bad_setting_is_one_usage_error_before_any_run(self, tmp_path, capsys,
                                                             flags, field):
@@ -438,6 +450,18 @@ class TestCliGrid:
         errors = [line for line in err.splitlines() if line.startswith("bench: error:")]
         assert len(errors) == 1
         assert errors[0].startswith(f"bench: error: {field} must ")
+
+    @pytest.mark.parametrize("source, message", [
+        (("--synth", "0,3,0,1"), "need n, d >= 1"),
+        (("--synth", "50,3,0,nan"), "dataset contains non-finite entries"),
+        (("--data", "missing.txt"), "No such file or directory: 'missing.txt'"),
+    ])
+    def test_bad_dataset_is_one_usage_error_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                           source, message):
+        monkeypatch.chdir(tmp_path)
+        err = self._usage_error(tmp_path, capsys, source=source)
+        errors = [line for line in err.splitlines() if line.startswith("bench: error:")]
+        assert len(errors) == 1 and message in errors[0]
 
     @pytest.mark.parametrize("out, named", [("{x}.csv", "{x}"), ("{.csv", "expected '}'")])
     def test_bad_out_placeholder_is_a_usage_error(self, tmp_path, capsys, out, named):
@@ -452,14 +476,18 @@ class TestCliGrid:
 
 
 class TestTraceIO:
+    DATA = synth_logistic(80, 4, 0, 1.0)
+
     def _spec(self, out, algo="sarc", **settings):
         config = SolverConfig(**{"grad_tol": 1e-8, "max_iters": 120, **settings})
-        return RunSpec(algo=algo, synth=(80, 4, 0, 1.0), lam=1e-4, x0_std=2.0, out=out,
-                       config=config)
+        return RunSpec(algo=algo, lam=1e-4, x0_std=2.0, out=out, config=config)
+
+    def _run(self, out, **kw):
+        return run_benchmark(self._spec(out, **kw), self.DATA)
 
     def test_csv_shape_and_header(self, tmp_path):
         out = str(tmp_path / "t.csv")
-        res = run_benchmark(self._spec(out))
+        res = self._run(out)
         assert exit_code(res.status) == 0
         lines = open(out).read().splitlines()
         assert lines[0] == CSV_HEADER
@@ -471,19 +499,19 @@ class TestTraceIO:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        run_benchmark(self._spec(a))
-        run_benchmark(self._spec(b))
+        self._run(a)
+        self._run(b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_seed_changes_trace(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        run_benchmark(self._spec(a))
-        run_benchmark(self._spec(b, seed=1))
+        self._run(a)
+        self._run(b, seed=1)
         assert open(a, "rb").read() != open(b, "rb").read()
 
     def test_round_trip_exact(self, tmp_path):
         out = str(tmp_path / "t.csv")
-        res = run_benchmark(self._spec(out))
+        res = self._run(out)
         back = read_trace(out)
         assert len(back) == len(res.trace)
         for orig, rt in zip(res.trace, back):
@@ -506,25 +534,27 @@ class TestTraceIO:
 
     def test_baseline_rows_blank_solver_columns(self, tmp_path):
         out = str(tmp_path / "agd.csv")
-        run_benchmark(self._spec(out, algo="agd", grad_tol=1e-5, max_iters=2000))
+        self._run(out, algo="agd", grad_tol=1e-5, max_iters=2000)
         lines = open(out).read().splitlines()
         cells = lines[1].split(",")
         assert cells[4] == "" and cells[5] == "" and cells[6] == ""
         assert cells[8] == ""
 
     def test_all_algorithms_dispatch(self, tmp_path):
+        data = synth_logistic(60, 3, 1, 1.0)
         for algo in ("sarc", "saarc", "sacr", "cr", "acr", "agd", "sgd", "lbfgs"):
-            res = run_benchmark(RunSpec(algo=algo, synth=(60, 3, 1, 1.0), lam=1e-4,
-                                        x0_std=1.0,
-                                        config=SolverConfig(grad_tol=1e-5, max_iters=400)))
+            res = run_benchmark(RunSpec(algo=algo, lam=1e-4, x0_std=1.0,
+                                        config=SolverConfig(grad_tol=1e-5, max_iters=400)),
+                                data)
             assert res.status in EXIT_CODES, (algo, res.status)
             assert exit_code(res.status) in (0, 2), (algo, res.status)
             assert res.trace, algo
 
     def test_zero_iteration_cap_records_the_start_only(self):
+        data = synth_logistic(60, 3, 1, 1.0)
         for algo in ALGORITHMS:
-            res = run_benchmark(RunSpec(algo=algo, synth=(60, 3, 1, 1.0), lam=1e-4,
-                                        x0_std=1.0, config=SolverConfig(max_iters=0)))
+            res = run_benchmark(RunSpec(algo=algo, lam=1e-4, x0_std=1.0,
+                                        config=SolverConfig(max_iters=0)), data)
             assert len(res.trace) == 1, algo
             accelerated = algo in ("saarc", "sacr", "acr")
             assert res.status == ("phase1_exhausted" if accelerated else "max_iters"), algo

@@ -288,7 +288,7 @@ class TestMinimizeModel:
             for _ in range(30):
                 g, H, sigma = self._random_model(rng, 6)
                 gn = np.linalg.norm(g)
-                res = minimize_model(g, MatvecOnly(H), sigma, kind, 0.2, grad_f_norm=gn)
+                res = minimize_model(g, MatvecOnly(H), sigma, kind, 0.2)
                 if res.status == "converged":
                     thr = THRESHOLDS[kind](0.2, gn, np.linalg.norm(res.s))
                     full = np.linalg.norm(model_gradient(g, H, sigma, res.s))
@@ -305,15 +305,22 @@ class TestMinimizeModel:
         assert np.allclose(res.s, [-1.0, 0.0, 0.0], atol=1e-12)
         assert np.linalg.norm(model_gradient(g, np.eye(3), 1.0, res.s)) < 1e-10
 
-    def test_exhausted_flag(self):
-        H = MatvecOnly(np.array([[1.0, 0.9], [0.9, 4.0]]))
-        g = np.array([1.0, 1.0])
-        res = minimize_model(g, H, 1.0, "condition_3_1", 1e-8, max_dim=1)
-        assert res.status == "exhausted"
-        assert not res.condition_met
-        assert res.k == 1
-        with pytest.raises(ValueError):
-            minimize_model(g, H, 1.0, "condition_3_1", 1e-8, max_dim=0)
+    def test_basis_grows_with_k_at_a_million_dimensions(self):
+        # a d x d basis would take 8 TB here; the stored one grows with k
+        d = 10**6
+        rng = np.random.default_rng(11)
+        h = 1.0 + rng.random(d)
+        g = rng.standard_normal(d)
+
+        class Diagonal:
+            def matvec(self, v):
+                return h * v
+
+        res = minimize_model(g, Diagonal(), 1.0, "condition_3_1", 1e-8)
+        assert res.condition_met and res.status == "converged"
+        assert res.k <= 16 and res.s.shape == (d,)
+        full = np.linalg.norm(g + h * res.s + np.linalg.norm(res.s) * res.s)
+        assert abs(res.grad_norm - full) <= 1e-10 * np.linalg.norm(g)
 
     @pytest.mark.parametrize("gn", [1e-5, 1e-7, 1e-9])
     def test_small_gradient_meets_condition_below_full_dimension(self, gn):
@@ -356,8 +363,7 @@ class TestMinimizeModel:
             g, H, sigma = self._random_model(rng, d)
             kind = ("condition_3_1", "condition_4_1")[i % 3 == 0]
             kappa = float(rng.choice([1e-8, 0.05, 0.2]))
-            res = minimize_model(g, MatvecOnly(H), sigma, kind, kappa,
-                                 max_dim=int(rng.integers(1, d + 1)))
+            res = minimize_model(g, MatvecOnly(H), sigma, kind, kappa)
             full = np.linalg.norm(model_gradient(g, H, sigma, res.s))
             assert abs(res.grad_norm - full) <= 1e-10 * np.linalg.norm(g)
             assert res.model_decrease == pytest.approx(

@@ -39,8 +39,8 @@ SYNTH = (2000, 10, 0, 4.0)
 def _bench(algo, scheme="uniform", **overrides):
     def run():
         config = SolverConfig(max_iters=60, scheme=scheme, **overrides)
-        spec = RunSpec(algo=algo, synth=SYNTH, x0_std=1.0, config=config)
-        return run_benchmark(spec)
+        return run_benchmark(RunSpec(algo=algo, x0_std=1.0, config=config),
+                             synth_logistic(*SYNTH))
     return run
 
 

@@ -18,7 +18,7 @@ from sarc.saarc_driver import (
 )
 from sarc.sarc_driver import SolverConfig, run
 
-from phases import run_phase_one
+from phases import run_phase_one, saarc_run_probing_growth
 
 
 def _quadratic_model(n=30, d=5, seed=0, lam=1e-3):
@@ -145,7 +145,7 @@ class TestPhaseOne:
         model = _quadratic_model()
         cfg = SolverConfig(exact_hessian=True, max_iters=50)
         state = run_phase_one(model, cfg, np.zeros(5))
-        assert state.T1 == 1
+        assert [r.iteration for r in state.trace if r.phase == "one" and r.success] == [1]
         assert state.phase == "two"
         assert state.l == 1
         assert np.array_equal(state.y, state.x)  # y1 is the anchor exactly
@@ -153,12 +153,6 @@ class TestPhaseOne:
         assert state.seq.lin_const == pytest.approx(state.f)
         assert np.all(state.seq.lin_grad == 0.0)
         assert state.seq.varsigma == cfg.sigma0
-
-    def test_varsigma0_override(self):
-        model = _quadratic_model()
-        cfg = SolverConfig(exact_hessian=True, varsigma0=7.0)
-        state = run_phase_one(model, cfg, np.zeros(5))
-        assert state.seq.varsigma == 7.0
 
     def test_stationary_start(self):
         model = LossModel("pca_quadratic", 1.0,
@@ -175,7 +169,7 @@ class TestPhaseOne:
         row = state.trace[-1]
         assert row.success is False and row.phase == "one"
         assert state.phase == "one"
-        assert state.T1 == 0
+        assert not any(r.success for r in state.trace)
         assert state.sigma == pytest.approx(0.1)
         assert state.status == "phase1_exhausted"
 
@@ -254,11 +248,10 @@ class TestSaarcRun:
 
     def test_audits_pass_with_probes_enabled(self):
         model = _quadratic_model(seed=6)
-        cfg = SolverConfig(exact_hessian=True, grad_tol=1e-8, max_iters=200,
-                           psi_probes=True, seed=4)
-        state = saarc_run(model, cfg, np.full(5, 1.5))
+        cfg = SolverConfig(exact_hessian=True, grad_tol=1e-8, max_iters=200, seed=4)
+        state, probed = saarc_run_probing_growth(model, cfg, np.full(5, 1.5), seed=4)
         assert state.status in ("converged", "max_iters")
-        assert any(r.phase == "two" and r.success for r in state.trace)
+        assert probed == sum(r.phase == "two" and bool(r.success) for r in state.trace) > 0
 
     def test_audit_catches_corrupted_minimizer(self):
         model = _quadratic_model(seed=7)
@@ -268,7 +261,7 @@ class TestSaarcRun:
         phase2_step(state, model, cfg)
         z = state.seq.argmin()
         with pytest.raises(AssertionError):
-            _audit_sequence(state, cfg, z + 1.0, state.seq.psi_value(z) + 1e3)
+            _audit_sequence(state.seq, z + 1.0, state.seq.psi_value(z) + 1e3)
 
     def test_audit_fails_on_nan(self):
         model = _quadratic_model(seed=7)
@@ -276,7 +269,7 @@ class TestSaarcRun:
         state = run_phase_one(model, cfg, np.full(5, 2.0))
         state.seq.varsigma = np.inf  # psi and its gradient at xbar1 are nan
         with np.errstate(invalid="ignore"), pytest.raises(AssertionError, match="lower bound"):
-            _audit_sequence(state, cfg, state.seq.xbar1.copy(), 0.0)
+            _audit_sequence(state.seq, state.seq.xbar1.copy(), 0.0)
 
     def test_failed_growth_ends_the_run_with_a_named_status(self):
         # a sequence no finite varsigma can lift to its threshold, as outside
