@@ -6,14 +6,14 @@ All baselines charge the run's ledger with what they actually query: one
 full gradient per iteration for AGD/L-BFGS, the batch size for SGD. Function
 values are free, and the full gradient norms written to the trace of SGD/AGD
 are diagnostics, not charged queries. Each first-order method is written as
-a generator of iterates; `_baseline` runs it in one loop that owns the trace,
-the iteration cap and the divergence rule the cubic drivers share.
+a generator that yields every iterate with the component gradient queries it
+took; `_baseline` runs it in one loop that charges those queries and owns the
+trace, the iteration cap and the divergence rule the cubic drivers share.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -47,29 +47,30 @@ class BaselineResult:
 
 
 def _baseline(method):
-    """Turn `method(model, config, x0, ledger, **options)`, a generator of
-    iterates, into a run `(model, config, x0, **options)` with its own ledger.
+    """Turn `method(model, config, x0, **options)`, a generator of iterates,
+    into a run with the same signature and its own ledger.
 
-    Each (x, f, grad_norm) the generator yields, the start point first, is
-    recorded; the run ends at the gradient tolerance, on divergence, at the
-    iteration cap, or with the status the generator returns when it stops.
+    Each (x, f, grad_norm, queries) the generator yields, the start point
+    first, is charged `queries` component gradients and then recorded; the
+    run ends at the gradient tolerance, on divergence, at the iteration cap,
+    or with the status the generator returns when it stops.
     """
 
     @functools.wraps(method)
     def run(model: LossModel, config: SolverConfig, x0, **options) -> BaselineResult:
         ledger = EpochLedger(model.n)
-        iterates = method(model, config, x0, ledger, **options)
+        iterates = method(model, config, x0, **options)
         t0 = time.perf_counter()
         trace: list[TraceRecord] = []
         while True:
             try:
-                x, f, gn = next(iterates)
+                x, f, gn, queries = next(iterates)
             except StopIteration as stop:
                 status = stop.value
                 break
+            ledger.add_gradient_pass(queries)
             trace.append(TraceRecord(
-                iteration=len(trace), f=f, grad_norm=gn, sigma=None, eps_i=None,
-                sample_size=None, success=None, epochs=ledger.epochs,
+                iteration=len(trace), epochs=ledger.epochs, f=f, grad_norm=gn,
                 wall_time=time.perf_counter() - t0,
             ))
             if gn <= config.grad_tol:
@@ -83,8 +84,6 @@ def _baseline(method):
                 break
         return BaselineResult(x, f, gn, status, trace, ledger)
 
-    params = inspect.signature(method).parameters  # the run's own, without `ledger`
-    run.__signature__ = inspect.Signature([p for n, p in params.items() if n != "ledger"])
     return run
 
 
@@ -93,7 +92,7 @@ def _diagnostic_norm(model: LossModel, x: np.ndarray) -> float:
 
 
 @_baseline
-def agd_run(model, config, x0, ledger, L: float | None = None):
+def agd_run(model, config, x0, L: float | None = None):
     """Nesterov's method with monotone backtracking on the step constant.
 
     L starts from the mean analytic component bound (an upper bound on the
@@ -103,12 +102,11 @@ def agd_run(model, config, x0, ledger, L: float | None = None):
     x = np.asarray(x0, dtype=float).ravel()
     if L is None:
         L = lipschitz_bounds(model).Lbar
-    yield x, full_value(model, x), _diagnostic_norm(model, x)
+    yield x, full_value(model, x), _diagnostic_norm(model, x), 0
     y = x.copy()
     tk = 1.0
     while True:
         grad_y = full_gradient(model, y)
-        ledger.add_gradient_pass()
         f_y = full_value(model, y)
         gg = float(grad_y @ grad_y)
         for _ in range(200):
@@ -121,11 +119,11 @@ def agd_run(model, config, x0, ledger, L: float | None = None):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         y = x_new + ((tk - 1.0) / t_next) * (x_new - x)
         x, tk = x_new, t_next
-        yield x, f_new, _diagnostic_norm(model, x)
+        yield x, f_new, _diagnostic_norm(model, x), model.n
 
 
 @_baseline
-def sgd_run(model, config, x0, ledger, batch: int = 32, step: float | None = None):
+def sgd_run(model, config, x0, batch: int = 32, step: float | None = None):
     """Constant-step SGD: step 1/L by default, uniform with-replacement batches.
 
     batch >= n means a full deterministic gradient pass per iteration (plain
@@ -137,32 +135,29 @@ def sgd_run(model, config, x0, ledger, batch: int = 32, step: float | None = Non
     if step is None:
         step = 1.0 / lipschitz_bounds(model).Lbar
     rng = np.random.default_rng(np.random.Philox(key=config.seed))
-    yield x, full_value(model, x), _diagnostic_norm(model, x)
+    yield x, full_value(model, x), _diagnostic_norm(model, x), 0
     while True:
         if batch >= n:
             g_est = full_gradient(model, x)
-            ledger.add_gradient_pass()
         else:
             idx = rng.integers(0, n, size=batch)
             g_est = batch_gradient(model, x, idx)
-            ledger.add_gradient_pass(batch)
         x = x - step * g_est
-        yield x, full_value(model, x), _diagnostic_norm(model, x)
+        yield x, full_value(model, x), _diagnostic_norm(model, x), min(batch, n)
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept
 
 
 @_baseline
-def lbfgs_run(model, config, x0, ledger):
+def lbfgs_run(model, config, x0):
     """Two-loop-recursion L-BFGS with Armijo halving; a plain reference
     implementation, not a tuned production solver."""
     x = np.asarray(x0, dtype=float).ravel()
     f = full_value(model, x)
     grad = full_gradient(model, x)
-    ledger.add_gradient_pass()
     gn = float(np.linalg.norm(grad))
-    yield x, f, gn
+    yield x, f, gn, model.n
 
     pairs: deque = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1/(s.y)), oldest first
     while True:
@@ -194,7 +189,6 @@ def lbfgs_run(model, config, x0, ledger):
             return "linesearch_failed"
 
         grad_new = full_gradient(model, x_new)
-        ledger.add_gradient_pass()
         s_v = x_new - x
         y_v = grad_new - grad
         sy = float(s_v @ y_v)
@@ -202,4 +196,4 @@ def lbfgs_run(model, config, x0, ledger):
             pairs.append((s_v, y_v, 1.0 / sy))
         x, f, grad = x_new, f_new, grad_new
         gn = float(np.linalg.norm(grad))
-        yield x, f, gn
+        yield x, f, gn, model.n

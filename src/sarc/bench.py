@@ -1,19 +1,15 @@
 """Benchmark runner: problem assembly, algorithm dispatch, CSV traces.
 
 The benchmark objective is l2-regularized logistic regression with the
-(lam/2)||x||^2 convention (reg_scale=0.5). Traces are written as
-
-    iter,epochs,f,grad_norm,sigma,eps_i,sample_size,success,phase
-
-with repr() float formatting, so a fixed spec and seed produce byte-identical
-files. Wall time stays in memory only; it would break determinism.
+(lam/2)||x||^2 convention (reg_scale=0.5). Traces are CSV files with the
+columns of `COLUMNS` and repr() float formatting, so a fixed spec and seed
+produce byte-identical files; wall time would break that and stays in memory.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +26,21 @@ SOLVERS = {
 }
 ALGORITHMS = tuple(SOLVERS)
 
-CSV_HEADER = "iter,epochs,f,grad_norm,sigma,eps_i,sample_size,success,phase"
+# the trace CSV in file order: (column, TraceRecord field, type); a None
+# field is a blank cell, and only the fields that default to None may be blank
+COLUMNS = (
+    ("iter", "iteration", int),
+    ("epochs", "epochs", float),
+    ("f", "f", float),
+    ("grad_norm", "grad_norm", float),
+    ("sigma", "sigma", float),
+    ("eps_i", "eps_i", float),
+    ("sample_size", "sample_size", int),
+    ("success", "success", bool),
+    ("phase", "phase", str),
+)
+CSV_HEADER = ",".join(column for column, _, _ in COLUMNS)
+_OPTIONAL = {f.name for f in fields(TraceRecord) if f.default is None}
 
 
 @dataclass
@@ -95,64 +105,58 @@ def run_benchmark(spec: RunSpec, dataset: Dataset) -> SolverState | BaselineResu
     return result
 
 
-def _cell(value, kind: str) -> str:
+def _cell(value, kind: type) -> str:
     if value is None:
         return ""
-    if kind == "float":
+    if kind is float:
         return repr(float(value))
-    if kind == "int":
-        return str(int(value))
-    if kind == "bool":
+    if kind is bool:
         return "1" if value else "0"
-    return str(value)
+    return str(kind(value))
+
+
+def _parse(cell: str, kind: type, optional: bool):
+    """The value `_cell` wrote as `cell`; ValueError for a cell it cannot
+    write. A blank cell reads as None where the field is optional."""
+    if cell == "" and optional:
+        return None
+    if kind is bool:
+        if cell not in ("0", "1"):
+            raise ValueError(cell)
+        return cell == "1"
+    return kind(cell)
 
 
 def trace_rows(trace: list[TraceRecord]):
     for r in trace:
-        yield [
-            _cell(r.iteration, "int"),
-            _cell(r.epochs, "float"),
-            _cell(r.f, "float"),
-            _cell(r.grad_norm, "float"),
-            _cell(r.sigma, "float"),
-            _cell(r.eps_i, "float"),
-            _cell(r.sample_size, "int"),
-            _cell(r.success, "bool"),
-            r.phase,
-        ]
+        yield [_cell(getattr(r, name), kind) for _, name, kind in COLUMNS]
 
 
 def write_trace(path: str, trace: list[TraceRecord]) -> None:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for row in trace_rows(trace):
-        buf.write(",".join(row) + "\n")
+    lines = [CSV_HEADER] + [",".join(row) for row in trace_rows(trace)]
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_trace(path: str) -> list[TraceRecord]:
-    """Parse an emitted trace; wall time is not stored and reads as 0."""
+    """Parse an emitted trace; wall time is not stored and reads as 0. A file
+    `write_trace` cannot have written raises ValueError naming its line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if ",".join(header) != CSV_HEADER:
-            raise ValueError(f"unexpected header {header}")
+        header = ",".join(next(reader, ()))
+        if header != CSV_HEADER:
+            raise ValueError(f"line 1: expected the header {CSV_HEADER!r}, got {header!r}")
         for row in reader:
-            it, epochs, f, gn, sigma, eps_i, size, success, phase = row
-            records.append(
-                TraceRecord(
-                    iteration=int(it),
-                    f=float(f),
-                    grad_norm=float(gn),
-                    sigma=float(sigma) if sigma else None,
-                    eps_i=float(eps_i) if eps_i else None,
-                    sample_size=int(size) if size else None,
-                    success=bool(int(success)) if success else None,
-                    epochs=float(epochs),
-                    wall_time=0.0,
-                    phase=phase,
-                )
-            )
+            line = reader.line_num
+            if len(row) != len(COLUMNS):
+                raise ValueError(f"line {line}: expected {len(COLUMNS)} cells, got {len(row)}")
+            values = {}
+            for col, (cell, (column, name, kind)) in enumerate(zip(row, COLUMNS), start=1):
+                try:
+                    values[name] = _parse(cell, kind, name in _OPTIONAL)
+                except ValueError:
+                    bad = f"line {line}, column {col}: bad {column} cell {cell!r}"
+                    raise ValueError(bad) from None
+            records.append(TraceRecord(**values))
     return records

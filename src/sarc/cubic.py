@@ -121,6 +121,8 @@ def solve_tridiagonal_cubic(
     analytically, so roots arbitrarily close to the barrier stay resolvable.
     The hard case (e1 orthogonal to the minimal eigenspace, only possible
     for reducible T) is resolved by the boundary root plus a null-space step.
+    That branch returns the lstsq solution at the boundary as it is and does
+    not honour `tol`: a smaller `tol` cannot tighten its residual.
     """
     diag = np.asarray(diag, dtype=float).ravel()
     off = np.asarray(off, dtype=float).ravel()

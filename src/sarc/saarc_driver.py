@@ -170,7 +170,6 @@ def phase1_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
         # z1 = xbar1, so y1 = 1/4 xbar1 + 3/4 z1 is the anchor itself
         state.y = state.x.copy()
         state.grad_y = state.grad
-        state.grad_y_norm = state.grad_norm
         state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
         _build(state, model, config, state.y)
         state.phase = "two"
@@ -231,16 +230,16 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     state.y = (l_new / (l_new + 3.0)) * x_trial + (3.0 / (l_new + 3.0)) * z
     state.grad_y = full_gradient(model, state.y)
     state.ledger.add_gradient_pass()
-    state.grad_y_norm = float(np.linalg.norm(state.grad_y))
-    state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_y_norm / 2.0)
-    if state.grad_y_norm <= config.grad_tol:
+    grad_y_norm = float(np.linalg.norm(state.grad_y))
+    state.eps_i = min(1.0, (1.0 - config.kappa_theta) * grad_y_norm / 2.0)
+    if grad_y_norm <= config.grad_tol:
         # extrapolation landed on a stationary point; adopt it if it is better
         f_y = full_value(model, state.y)
         if f_y <= state.f:
             state.x = state.y
             state.f = f_y
             state.grad = state.grad_y
-            state.grad_norm = state.grad_y_norm
+            state.grad_norm = grad_y_norm
         _end(state, "converged")
     else:
         _build(state, model, config, state.y)

@@ -182,7 +182,6 @@ class SubsampledHessian:
         self.model = model
         self.plan = plan
         self.shift = float(shift)
-        self.sample_size = plan.size  # queries charged for this build
         n = model.n
 
         if plan.exact:

@@ -91,15 +91,15 @@ class SolverConfig:
 @dataclass
 class TraceRecord:
     iteration: int
+    epochs: float
     f: float
     grad_norm: float
-    sigma: float | None
-    eps_i: float | None
-    sample_size: int | None
-    success: bool | None
-    epochs: float
-    wall_time: float
+    sigma: float | None = None
+    eps_i: float | None = None
+    sample_size: int | None = None
+    success: bool | None = None
     phase: str = ""
+    wall_time: float = 0.0
     l: int | None = None
     varsigma: float | None = None
     t3: int | None = None
@@ -113,8 +113,8 @@ class SolverState:
     phases of the accelerated one; the hybrid flips "one"/"two" to "sarc" at
     its switch when `hybrid` is set. `x`, `f`, `grad`, `grad_norm` always
     describe the iterate (the anchor xbar_l in phase two); `y`, `grad_y`,
-    `grad_y_norm`, `seq`, `l` and `T3` (the count of varsigma growths)
-    belong to the accelerated phases.
+    `seq`, `l` and `T3` (the count of varsigma growths) belong to the
+    accelerated phases.
     """
 
     x: np.ndarray
@@ -137,7 +137,6 @@ class SolverState:
     unmet_subproblems: int = 0  # subproblems that ended without meeting their condition
     y: np.ndarray | None = None
     grad_y: np.ndarray | None = None
-    grad_y_norm: float = 0.0
     seq: EstimatingSequence | None = None
     l: int = 0
     T3: int = 0
@@ -193,7 +192,7 @@ def _record(state: SolverState, *, success: bool | None) -> TraceRecord:
         grad_norm=state.grad_norm,
         sigma=state.sigma,
         eps_i=state.eps_i,
-        sample_size=state.H.sample_size if state.H is not None else None,
+        sample_size=state.H.plan.size if state.H is not None else None,
         success=success,
         epochs=state.ledger.epochs,
         wall_time=time.perf_counter() - state.t0,

@@ -1,4 +1,5 @@
 import inspect
+import re
 import tempfile
 from pathlib import Path
 
@@ -509,9 +510,10 @@ class TestTraceIO:
         self._run(b, seed=1)
         assert open(a, "rb").read() != open(b, "rb").read()
 
-    def test_round_trip_exact(self, tmp_path):
+    @pytest.mark.parametrize("algo", ["sarc", "saarc", "agd"])
+    def test_round_trip_exact(self, tmp_path, algo):
         out = str(tmp_path / "t.csv")
-        res = self._run(out)
+        res = self._run(out, algo=algo)
         back = read_trace(out)
         assert len(back) == len(res.trace)
         for orig, rt in zip(res.trace, back):
@@ -530,6 +532,22 @@ class TestTraceIO:
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            read_trace(str(p))
+
+    ROW = "3,1.5,0.25,0.125,0.1,0.05,40,1,sarc"
+
+    @pytest.mark.parametrize("lines, error", [
+        ([], "line 1: expected the header"),
+        ([CSV_HEADER, ROW, ROW.rsplit(",", 1)[0]], "line 3: expected 9 cells, got 8"),
+        ([CSV_HEADER, ROW, ROW + ",sarc"], "line 3: expected 9 cells, got 10"),
+        ([CSV_HEADER, ROW, ROW.replace(",1,sarc", ",2,sarc")],
+         "line 3, column 8: bad success cell '2'"),
+        ([CSV_HEADER, ROW, ROW.replace("3,", ",", 1)], "line 3, column 1: bad iter cell ''"),
+    ], ids=["empty", "8_cells", "10_cells", "bad_success", "blank_iter"])
+    def test_malformed_trace_rejected_at_its_line(self, tmp_path, lines, error):
+        p = tmp_path / "bad.csv"
+        p.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=re.escape(error)):
             read_trace(str(p))
 
     def test_baseline_rows_blank_solver_columns(self, tmp_path):

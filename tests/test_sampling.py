@@ -319,7 +319,7 @@ class TestSubsampledHessian:
         for _ in range(5):
             v = rng.standard_normal(model.d)
             assert np.allclose(op.matvec(v), H @ v, rtol=1e-12, atol=1e-12)
-        assert op.sample_size == model.n
+        assert op.plan.size == model.n
 
     def test_shift_adds_multiple_of_identity(self):
         model, x = self._model()
