@@ -4,7 +4,7 @@ with an accelerated variant, a hybrid scheme, and a benchmark harness."""
 from .accounting import EpochLedger
 from .baselines import BaselineResult, acr_run, agd_run, cr_run, lbfgs_run, sgd_run
 from .bench import EXIT_CODES, RunSpec, exit_code, read_trace, run_benchmark, write_trace
-from .cubic import SubproblemResult, minimize_model, solve_tridiagonal_cubic
+from .cubic import SecularSolveError, SubproblemResult, minimize_model, solve_tridiagonal_cubic
 from .data import LibsvmFormatError, parse_libsvm, synth_logistic
 from .problems import (
     Dataset,
@@ -39,7 +39,7 @@ __all__ = [
     "EpochLedger",
     "BaselineResult", "acr_run", "agd_run", "cr_run", "lbfgs_run", "sgd_run",
     "EXIT_CODES", "RunSpec", "exit_code", "read_trace", "run_benchmark", "write_trace",
-    "SubproblemResult", "minimize_model", "solve_tridiagonal_cubic",
+    "SecularSolveError", "SubproblemResult", "minimize_model", "solve_tridiagonal_cubic",
     "LibsvmFormatError", "parse_libsvm", "synth_logistic",
     "Dataset", "DegenerateCurvatureError", "LipschitzInfo", "LossModel",
     "batch_gradient", "curvature_vector", "full_gradient", "full_value", "lipschitz_bounds",

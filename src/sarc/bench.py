@@ -40,6 +40,7 @@ COLUMNS = (
     ("phase", "phase", str),
 )
 CSV_HEADER = ",".join(column for column, _, _ in COLUMNS)
+PHASES = ("", "sarc", "one", "two")  # the phase column; blank for the baselines
 _OPTIONAL = {f.name for f in fields(TraceRecord) if f.default is None}
 
 
@@ -84,6 +85,7 @@ EXIT_CODES = {
     "converged": 0, "stationary": 0,
     "max_iters": 2, "phase1_exhausted": 2,
     "diverged": 1, "linesearch_failed": 1, "sequence_growth_failed": 1,
+    "subproblem_failed": 1,
 }
 
 
@@ -120,11 +122,11 @@ def _parse(cell: str, kind: type, optional: bool):
     write. A blank cell reads as None where the field is optional."""
     if cell == "" and optional:
         return None
-    if kind is bool:
-        if cell not in ("0", "1"):
-            raise ValueError(cell)
-        return cell == "1"
-    return kind(cell)
+    value = (cell == "1") if kind is bool else kind(cell)
+    # int and float also read forms like "1_0" and " 2.5" that _cell never writes
+    if _cell(value, kind) != cell or (kind is str and cell not in PHASES):
+        raise ValueError(cell)
+    return value
 
 
 def trace_rows(trace: list[TraceRecord]):

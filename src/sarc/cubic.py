@@ -14,6 +14,15 @@ lambda in (max(0, -lambda_min(T)), infinity). The subspace iterate is globally
 optimal over span(Q) by construction, which supplies the subspace-optimality
 clause of the stronger termination condition for free.
 
+Each secular solve first tries an O(k) L D L^T factorization of T (LAPACK
+dpttrf). When it succeeds, T is positive definite, as on every convex
+problem, so the barrier is 0, the hard case cannot occur, and each Newton
+step factors T + lambda I once. Only an indefinite or singular T pays for
+its minimal eigenpair (eigh_tridiagonal), the deflated shifted solves and
+the hard-case probe. The Newton iteration of each solve starts from the
+previous solve's lambda = sigma ||y|| when that lies inside the new bracket,
+as in GLTR: T_k extends T_{k-1} by one row, so the root moves little.
+
 The termination residual and the model decrease come from the Lanczos
 recurrence H Q_k = Q_k T_k + beta_k q_{k+1} e_k^T (the GLTR / ARC evaluation
 of Gould, Lucidi, Roma & Toint 1999; Cartis, Gould & Toint 2011): for
@@ -105,6 +114,22 @@ def _tridiag_eig_min(diag, off):
     return float(w[0]), v[:, 0]
 
 
+def _pd_solver(diag, off, lam):
+    """A solver of (T + lam I) x = b from the L D L^T factor of LAPACK dpttrf,
+    or None when the factorization finds T + lam I not positive definite."""
+    d = diag + lam
+    if d.shape[0] == 1:  # the dpttrf wrapper rejects an empty off-diagonal
+        return (lambda b: b / d[0]) if d[0] > 0.0 else None
+    d, e, info = scipy.linalg.lapack.dpttrf(d, off, overwrite_d=True)
+    if info != 0:
+        return None
+    return lambda b: scipy.linalg.lapack.dpttrs(d, e, b)[0]
+
+
+class SecularSolveError(RuntimeError):
+    """The secular equation could not be bracketed or solved."""
+
+
 def solve_tridiagonal_cubic(
     diag: np.ndarray,
     off: np.ndarray,
@@ -116,14 +141,30 @@ def solve_tridiagonal_cubic(
 
     Returns subspace coordinates y. The stationarity residual
     |sigma||y|| - lambda| * ||y|| is driven below `tol` (default
-    SECULAR_TOL*gnorm), or as close as the bracket allows. The
-    minimal eigenpair is deflated from every shifted solve and handled
-    analytically, so roots arbitrarily close to the barrier stay resolvable.
-    The hard case (e1 orthogonal to the minimal eigenspace, only possible
-    for reducible T) is resolved by the boundary root plus a null-space step.
-    That branch returns the lstsq solution at the boundary as it is and does
-    not honour `tol`: a smaller `tol` cannot tighten its residual.
+    SECULAR_TOL*gnorm), or as close as the bracket allows.
+
+    When LAPACK dpttrf factors T with positive pivots, T is positive
+    definite: the barrier is 0, the hard case cannot occur, and every Newton
+    step on lambda in (0, lambda_hi) takes one O(k) factorization of
+    T + lambda I and two solves with it. Otherwise the minimal eigenpair of T
+    is computed, deflated from every shifted solve and handled analytically,
+    so roots arbitrarily close to the barrier stay resolvable. The hard case
+    (e1 orthogonal to the minimal eigenspace, only possible for reducible T)
+    is resolved by the boundary root plus a null-space step. That branch
+    returns the lstsq solution at the boundary as it is and does not honour
+    `tol`: a smaller `tol` cannot tighten its residual.
+
+    Raises SecularSolveError when the root cannot be bracketed or no Newton
+    iterate is finite.
     """
+    return _solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol, None)
+
+
+def _solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol, lam0):
+    """solve_tridiagonal_cubic with the Newton iteration started at the
+    multiplier `lam0` when it lies strictly inside the root's bracket
+    (minimize_model passes its previous solve's sigma ||y||), at the middle
+    of the bracket otherwise."""
     diag = np.asarray(diag, dtype=float).ravel()
     off = np.asarray(off, dtype=float).ravel()
     k = diag.shape[0]
@@ -137,32 +178,45 @@ def solve_tridiagonal_cubic(
         tol = SECULAR_TOL * gnorm
     elif not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and > 0")
-
-    lam_min, v_min = _tridiag_eig_min(diag, off)
-    barrier = max(0.0, -lam_min)
-
-    if gnorm == 0.0:
-        if lam_min >= 0.0:
-            return np.zeros(k)
-        return (barrier / sigma) * v_min
+    if not (np.isfinite(diag).all() and np.isfinite(off).all() and gnorm < np.inf):
+        raise ValueError("array must not contain infs or NaNs")
 
     rhs = np.zeros(k)
     rhs[0] = -gnorm
 
-    # work in delta = lam - barrier: near-barrier roots are representable in
-    # delta to full relative precision, never in lam itself
-    base = lam_min + barrier  # exactly 0 whenever the barrier is active
+    if _pd_solver(diag, off, 0.0) is not None:
+        if gnorm == 0.0:
+            return np.zeros(k)
+        barrier = 0.0
 
-    def solve_deflated(delta, b):
-        # (T + lam I)^{-1} b with the v_min component treated analytically;
-        # the plain solve loses all accuracy in that direction near the barrier
-        c = float(v_min @ b)
-        z = _tridiag_solve(diag, off, barrier + delta, b - c * v_min)
-        z -= float(v_min @ z) * v_min
-        return z + (c / (base + delta)) * v_min
+        def shifted(delta):
+            # y at lam = delta and the solver of (T + lam I) z = b it came from
+            solve = _pd_solver(diag, off, delta)
+            if solve is None:
+                raise scipy.linalg.LinAlgError("shifted tridiagonal not positive definite")
+            return solve(rhs), solve
+    else:
+        lam_min, v_min = _tridiag_eig_min(diag, off)
+        barrier = max(0.0, -lam_min)
 
-    def y_of(delta):
-        return solve_deflated(delta, rhs)
+        if gnorm == 0.0:
+            if lam_min >= 0.0:
+                return np.zeros(k)
+            return (barrier / sigma) * v_min
+
+        # work in delta = lam - barrier: near-barrier roots are representable in
+        # delta to full relative precision, never in lam itself
+        base = lam_min + barrier  # exactly 0 whenever the barrier is active
+
+        def shifted(delta):
+            def solve(b):
+                # (T + lam I)^{-1} b with the v_min component treated analytically;
+                # the plain solve loses all accuracy in that direction near the barrier
+                c = float(v_min @ b)
+                z = _tridiag_solve(diag, off, barrier + delta, b - c * v_min)
+                z -= float(v_min @ z) * v_min
+                return z + (c / (base + delta)) * v_min
+            return solve(rhs), solve
 
     tnorm = float(np.abs(diag).max())
     if k > 1:
@@ -174,7 +228,7 @@ def solve_tridiagonal_cubic(
     d_probe = max(barrier, 1.0) * 1e-13
     if barrier > 0.0:
         try:
-            y_p = y_of(d_probe)
+            y_p, _ = shifted(d_probe)
             hard = sigma * np.linalg.norm(y_p) <= barrier + d_probe
         except scipy.linalg.LinAlgError:
             hard = False
@@ -197,17 +251,19 @@ def solve_tridiagonal_cubic(
     d_lo, d_hi = 0.0, max(lam_hi - barrier, np.sqrt(sigma * gnorm))
     # phi(d_hi) must be positive; expand defensively against rounding in lam_hi
     for _ in range(60):
-        if sigma * np.linalg.norm(y_of(d_hi)) <= barrier + d_hi:
+        if sigma * np.linalg.norm(shifted(d_hi)[0]) <= barrier + d_hi:
             break
         d_hi *= 2.0
     else:
-        raise RuntimeError("secular root bracketing failed; degenerate tridiagonal")
+        raise SecularSolveError("secular root bracketing failed; degenerate tridiagonal")
 
     delta = 0.5 * d_hi
+    if lam0 is not None and d_lo < lam0 - barrier < d_hi:
+        delta = lam0 - barrier
     best_y, best_res = None, np.inf
     for _ in range(SECULAR_MAX_ITER):
         try:
-            y = y_of(delta)
+            y, solve = shifted(delta)
         except scipy.linalg.LinAlgError:
             d_lo = delta
             delta = 0.5 * (d_lo + d_hi)
@@ -225,7 +281,7 @@ def solve_tridiagonal_cubic(
         else:
             d_hi = delta
         # Newton step on phi; phi'(lam) = (y.z)/w^3 + sigma/lam^2
-        z = solve_deflated(delta, y)
+        z = solve(y)
         dphi = float(y @ z) / w**3 + sigma / lam**2
         d_new = delta - phi / dphi if dphi > 0.0 else 0.5 * (d_lo + d_hi)
         if not d_lo < d_new < d_hi:
@@ -234,7 +290,7 @@ def solve_tridiagonal_cubic(
             break  # bracket exhausted at machine precision
         delta = d_new
     if best_y is None:
-        raise RuntimeError("secular equation solver did not converge")
+        raise SecularSolveError("secular equation solver did not converge")
     return best_y
 
 
@@ -278,6 +334,7 @@ def minimize_model(
     betas = np.empty(d)
     q = g / gn
     beta_prev = 0.0
+    lam = None  # sigma ||y|| of the last secular solve, its next start
 
     for k in range(1, d + 1):
         if k > Q.shape[0]:
@@ -298,8 +355,10 @@ def minimize_model(
         a, b = alphas[:k], betas[: k - 1]
 
         def evaluate(tol=None):
-            y = solve_tridiagonal_cubic(a, b, gn, sigma, tol)
+            nonlocal lam
+            y = _solve_tridiagonal_cubic(a, b, gn, sigma, tol, lam)
             sn = float(np.linalg.norm(y))
+            lam = sigma * sn
             Ty = a * y
             Ty[:-1] += b * y[1:]
             Ty[1:] += b * y[:-1]

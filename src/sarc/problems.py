@@ -47,6 +47,22 @@ class GlmFamily:
     curvature_range: tuple[float, float]
 
 
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """ln(1 + exp(z)) as max(z, 0) + log1p(exp(-|z|)), computed in place in z.
+
+    This is the formula np.logaddexp(0, z) evaluates element by element; the
+    whole-array ufuncs take a third of its time. No step overflows, and the
+    result is within an ulp of ln(1 + exp(z)) wherever it is a normal number.
+    """
+    top = np.maximum(z, 0.0)
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.log1p(z, out=z)
+    z += top
+    return z
+
+
 GLM_FAMILIES = {
     "ridge_least_squares": GlmFamily(
         link=lambda t, b: t,
@@ -56,11 +72,13 @@ GLM_FAMILIES = {
         curvature_range=(2.0, 2.0),
     ),
     "reg_logistic": GlmFamily(
-        # d^2/dt^2 ln(1+exp(-b t)) = b^2 s(1-s) with s = sigmoid(-b t)
+        # fhat = ln(1+exp(-b t)) = softplus(-b t), evaluated without overflow;
+        # fhat'' = b^2 s(1-s) with s = sigmoid(-b t), and b^2 = 1 exactly for
+        # the labels LossModel admits
         link=lambda t, b: expit(-b * t),
-        value=lambda t, b, s: np.logaddexp(0.0, -b * t),
+        value=lambda t, b, s: _softplus(-b * t),
         slope=lambda t, b, s: -b * s,
-        curvature=lambda t, b, s: b * b * s * (1.0 - s),
+        curvature=lambda t, b, s: s * (1.0 - s),
         curvature_range=(0.0, 0.25),
     ),
     "nonconvex_svm": GlmFamily(

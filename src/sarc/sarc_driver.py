@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .accounting import EpochLedger
-from .cubic import SubproblemResult, minimize_model
+from .cubic import SecularSolveError, SubproblemResult, minimize_model
 from .problems import LipschitzInfo, LossModel, full_gradient, full_value, lipschitz_bounds
 from .sampling import SampleStream, SubsampledHessian, resolve_plan
 
@@ -312,13 +312,20 @@ def run(state: SolverState, model: LossModel, config: SolverConfig,
     """Step `state` with `steps[state.phase]` until a terminal status, the
     divergence rule or the iteration cap ("phase1_exhausted" if phase one
     never ended, else "max_iters"); the accelerated driver passes its own
-    table of steps."""
+    table of steps. A secular solve that fails ends the run as
+    "subproblem_failed" with a failed row for the iteration it began."""
     f0 = state.trace[0].f
     while not state.terminal:
         if state.iteration >= config.max_iters:
             state.status = "phase1_exhausted" if state.phase == "one" else "max_iters"
             break
-        steps[state.phase](state, model, config)
+        try:
+            steps[state.phase](state, model, config)
+        except SecularSolveError:
+            # every step calls _subproblem before it changes the iterate
+            state.iteration += 1
+            _end(state, "subproblem_failed")
+            _record(state, success=False)
         if not state.terminal and _diverged(state.f, f0):
             _end(state, "diverged")
     return state

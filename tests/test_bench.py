@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sarc import baselines, bench, cli
+from sarc import baselines, bench, cli, cubic
 from sarc.accounting import EpochLedger
 from sarc.baselines import agd_run, cr_run, lbfgs_run, sgd_run
 from sarc.bench import (
@@ -359,7 +359,8 @@ class TestRunSpec:
 
     def test_exit_codes(self):
         expected = {"converged": 0, "stationary": 0, "max_iters": 2, "phase1_exhausted": 2,
-                    "diverged": 1, "linesearch_failed": 1, "sequence_growth_failed": 1}
+                    "diverged": 1, "linesearch_failed": 1, "sequence_growth_failed": 1,
+                    "subproblem_failed": 1}
         assert EXIT_CODES == expected
         assert all(exit_code(status) == code for status, code in expected.items())
         assert exit_code("running") == 1  # a status outside the table is a failure
@@ -407,6 +408,23 @@ class TestCliGrid:
         for row in rows[:2]:
             assert " psd_violations=0 unmet=0 out=" in row
         assert "psd_violations" not in rows[2] and "unmet" not in rows[2]
+
+    def test_failed_secular_solve_is_a_named_status(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise cubic.SecularSolveError("secular equation solver did not converge")
+
+        monkeypatch.setattr(cubic, "_solve_tridiagonal_cubic", fail)
+        out = str(tmp_path / "{algo}.csv")
+        code = cli.main(["run", "--algo", "sarc,saarc,sacr,cr,acr", "--synth", "200,4,0,1",
+                         "--x0-std", "1", "--max-iters", "30", "--out", out])
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert code == 1 and len(rows) == 5 and captured.err == ""
+        for algo, row in zip(("sarc", "saarc", "sacr", "cr", "acr"), rows):
+            assert f"algo={algo} seed=0 status=subproblem_failed iters=1 " in row
+            trace = read_trace(str(tmp_path / f"{algo}.csv"))
+            assert [r.iteration for r in trace] == [0, 1]
+            assert trace[-1].success is False and trace[-1].f == trace[0].f
 
     @pytest.mark.parametrize("seeds", ["", ","])
     def test_empty_seed_list_is_a_usage_error(self, tmp_path, capsys, seeds):
@@ -543,7 +561,13 @@ class TestTraceIO:
         ([CSV_HEADER, ROW, ROW.replace(",1,sarc", ",2,sarc")],
          "line 3, column 8: bad success cell '2'"),
         ([CSV_HEADER, ROW, ROW.replace("3,", ",", 1)], "line 3, column 1: bad iter cell ''"),
-    ], ids=["empty", "8_cells", "10_cells", "bad_success", "blank_iter"])
+        # forms int() and float() read but _cell never writes, and an unknown phase
+        ([CSV_HEADER, ROW, ROW.replace("3,", "1_0,", 1)], "line 3, column 1: bad iter cell '1_0'"),
+        ([CSV_HEADER, ROW, ROW.replace(",1.5,", ", 1.5,")],
+         "line 3, column 2: bad epochs cell ' 1.5'"),
+        ([CSV_HEADER, ROW, ROW.replace(",sarc", ",x")], "line 3, column 9: bad phase cell 'x'"),
+    ], ids=["empty", "8_cells", "10_cells", "bad_success", "blank_iter",
+            "underscore_int", "spaced_float", "unknown_phase"])
     def test_malformed_trace_rejected_at_its_line(self, tmp_path, lines, error):
         p = tmp_path / "bad.csv"
         p.write_text("".join(line + "\n" for line in lines))

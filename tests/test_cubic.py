@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sarc import cubic
 from sarc.cubic import (
     THRESHOLD_FLOOR,
     THRESHOLDS,
+    _solve_tridiagonal_cubic,
     _tridiag_solve,
     minimize_model,
     solve_tridiagonal_cubic,
 )
 
 from oracles import MatvecOnly, cubic_global_min, fd_gradient, model_gradient, model_value
+from test_golden import SPECS
 
 
 def _tridiag_dense(diag, off):
@@ -63,6 +68,96 @@ def _irreducible_subproblems(draw):
     gnorm = 10.0 ** draw(_finite(-3.0, 2.0))
     sigma = 10.0 ** draw(_finite(-2.0, 1.0))
     return diag, off, gnorm, sigma
+
+
+@st.composite
+def _spd_subproblems(draw):
+    """Random positive definite tridiagonal cubics, k <= 40, shifted so that
+    lambda_min(T) lies between 1e-12 ||T|| and ||T||, with a tol between
+    1e-13 and 1e-4 of the scale at which the residual is rounded."""
+    k = draw(st.integers(1, 40))
+    diag = np.array(draw(st.lists(_finite(-5.0, 5.0), min_size=k, max_size=k)))
+    off = np.array(draw(st.lists(_finite(-3.0, 3.0), min_size=k - 1, max_size=k - 1)))
+    w = np.linalg.eigvalsh(_tridiag_dense(diag, off))
+    spread = w[-1] - w[0] if w[-1] > w[0] else 1.0
+    diag += 10.0 ** draw(_finite(-12.0, 0.0)) * spread - w[0]
+    gnorm = 10.0 ** draw(_finite(-3.0, 2.0))
+    sigma = 10.0 ** draw(_finite(-2.0, 1.0))
+    return diag, off, gnorm, sigma, draw(_finite(-13.0, -4.0))
+
+
+def _spd_case(problem):
+    """(diag, off, gnorm, sigma, tol, lambda_min(T), y) with y from the
+    positive definite path, which must not compute an eigenpair."""
+    diag, off, gnorm, sigma, exponent = problem
+    T = _tridiag_dense(diag, off)
+    with mock.patch.object(cubic, "_tridiag_eig_min", side_effect=AssertionError):
+        w = np.linalg.norm(solve_tridiagonal_cubic(diag, off, gnorm, sigma))
+        tol = 10.0**exponent * (gnorm + (np.linalg.norm(T, 2) + sigma * w) * w)
+        y = solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol=tol)
+    return diag, off, gnorm, sigma, tol, np.linalg.eigvalsh(T)[0], y
+
+
+def _agree(y, other, lam_min, sigma, tol):
+    """Two minimizers agree to within tol: m is strongly convex with modulus
+    lambda_min(T) + sigma ||v|| at v, so residuals of at most tol each put
+    them within 2 tol / modulus of each other."""
+    gap = np.linalg.norm(y - other)
+    near = min(np.linalg.norm(y), np.linalg.norm(other))
+    return gap <= near and gap * (lam_min + 0.5 * sigma * near) <= 2.0 * tol
+
+
+class TestPositiveDefiniteSolve:
+    @settings(max_examples=200)
+    @given(_spd_subproblems())
+    def test_global_min_and_tol_bound(self, problem):
+        diag, off, gnorm, sigma, tol, _, y = _spd_case(problem)
+        T = _tridiag_dense(diag, off)
+        g = np.zeros(diag.shape[0])
+        g[0] = gnorm
+        val = lambda z: float(g @ z + 0.5 * z @ T @ z + sigma / 3.0 * np.linalg.norm(z) ** 3)
+        y_star, _ = cubic_global_min(T, g, sigma)
+        assert val(y) <= val(y_star) + 1e-8 * max(1.0, abs(val(y_star)))
+        assert _stationarity(diag, off, gnorm, sigma, y) <= tol
+
+    @settings(max_examples=200)
+    @given(_spd_subproblems())
+    def test_agrees_with_the_eigensolve_path(self, problem):
+        diag, off, gnorm, sigma, tol, lam_min, y = _spd_case(problem)
+        with mock.patch.object(cubic, "_pd_solver", return_value=None):
+            y_eig = solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol=tol)
+        assert _stationarity(diag, off, gnorm, sigma, y_eig) <= tol
+        assert _agree(y, y_eig, lam_min, sigma, tol)
+
+    @settings(max_examples=200)
+    @given(_spd_subproblems(), _finite(-3.0, 3.0))
+    def test_warm_start_agrees_with_cold_start(self, problem, shift):
+        diag, off, gnorm, sigma, tol, lam_min, y = _spd_case(problem)
+        lam0 = sigma * np.linalg.norm(y) * 10.0**shift  # inside or outside the bracket
+        y_warm = _solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol, lam0)
+        assert _stationarity(diag, off, gnorm, sigma, y_warm) <= tol
+        assert _agree(y, y_warm, lam_min, sigma, tol)
+
+    @settings(max_examples=200)
+    @given(_irreducible_subproblems(), _finite(-13.0, -4.0), _finite(-3.0, 3.0))
+    def test_warm_start_on_indefinite_tridiagonals(self, problem, exponent, shift):
+        # the barrier -lambda_min(T) can lie above the start, which is then ignored
+        diag, off, gnorm, sigma = problem
+        w = np.linalg.norm(solve_tridiagonal_cubic(diag, off, gnorm, sigma))
+        scale = gnorm + (np.linalg.norm(_tridiag_dense(diag, off), 2) + sigma * w) * w
+        tol = 10.0**exponent * scale
+        y = _solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol, sigma * w * 10.0**shift)
+        assert _stationarity(diag, off, gnorm, sigma, y) <= tol
+
+    def test_eigensolve_runs_only_for_indefinite_models(self, monkeypatch):
+        calls = []
+        real = cubic._tridiag_eig_min
+        monkeypatch.setattr(cubic, "_tridiag_eig_min",
+                            lambda *a: calls.append(a) or real(*a))
+        assert SPECS["bench_sarc"]().status == "converged"  # logistic: every T_k > 0
+        assert calls == []
+        SPECS["family_svm_sarc_uniform"]()  # the nonconvex SVM
+        assert calls
 
 
 class TestTridiagonalSolve:

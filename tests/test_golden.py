@@ -7,6 +7,13 @@ families or the sampling layer must leave every digest unchanged. The specs
 are rerun once in a child process with OPENBLAS_NUM_THREADS=2 to check that
 the traces do not depend on the BLAS thread count.
 
+The digests also assume numpy's own elementwise kernels: the logistic value
+calls np.exp and np.log1p and the SVM link np.tanh, which numpy dispatches to
+SIMD code by CPU (AVX-512 where the digests were pinned). Those kernels
+differ from the C library's math.exp, math.log1p and math.tanh in the last
+bit on about 5 %, 8 % and 27 % of uniform inputs, so a CPU without the same
+dispatch can move the CSV digests by rounding alone.
+
     python tests/test_golden.py   # prints the current digests as JSON
 """
 
@@ -81,87 +88,87 @@ SPECS["criterion_8_pca"] = _criterion_8_pca
 
 GOLDEN = {
     "bench_sarc": [
-        "132aa432217fae2828d61053ad7da0bfafb1ee1e6111c7858d3406fff864a2c7",
+        "877fc5b60ecfe9cc092a93cbfd05ef9b22531946745f15da94853a4585fbe5ee",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_saarc": [
-        "933a9366480bdf63cbd45aa4f205d83f3f475c82944a1e9972f77af4c396940d",
+        "1b75a736afbd37e0df7f48f94a4fb0641ba2d8e2d6b17db1f02d4b05e3fd561d",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_sacr": [
-        "34b471483f8c87ee82de50297c05de157cad6d90157c6d8f845fc7b6e7dd42c8",
+        "362cf99fde51e0eeaf7a1027f641efd5e5c76a06f00d08ac3a1c69e658beb46d",
         "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
     ],
     "bench_cr": [
-        "4b70cedf77773f1a36523c230d5cc06d019a44a70bac5073535bbce4cf4a57b2",
+        "76f9d25334ba732feed304d2b81d74c346127dce984fc5592f83263b08a3140a",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_acr": [
-        "4d5b97949ad3fdc369b65629f24948299f41ecdc5d9e4b7b71bd77ca39b7a194",
+        "2eb15c88c3929bfe19293544f6950ddd5e09d8ae781b00892b80a021d984a5dd",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_agd": [
-        "7c26392d08f00c4a52442850b835f7aafc8595557871a9ff6c1c72d32b477110",
+        "e927ee0170915fecffb0d7ce53d7b824a12deaf3ea51fa329758f5eed0a6034c",
         "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
     ],
     "bench_sgd": [
-        "ffc13a8775734bb48d28626f2289614da8a1d394334241e318c76a262d2cffd8",
+        "0fcb8008011083a038779f9d5ad1eaf06d87f06b49efe95723920ec6fb9a87a6",
         "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
     ],
     "bench_lbfgs": [
-        "5661965d73ea9df8f98230a09e7fbbad1a3698d184b7c65a586e70e97e9420d4",
+        "1f6fadf59be80f48f3849d24d38eb13cff1f7533d3dfbec0cc2bf90d8acf7d1c",
         "36fe2eb7a4ea81851c6cdbb29a5413093882c25b643b4e9cb6943963e7602689",
     ],
     "sampled_sarc_uniform": [
-        "9422b62e6e95f4433b36586b07c75b9333aa4da2181c5b8e6a00c8ec32033350",
+        "7fcee72ad3093d8e0ecaceccef87437b3f4a0c8c7628567b1312b08ab5adc692",
         "33b5743e4952ff74f7462e9b1715c058df9e07583db110110c0cc3f4f8dcf33c",
     ],
     "sampled_sarc_nonuniform": [
-        "ae2c1ee8d8cb801dd8590e68f24a74ccb503471f6a223f22e5737839c0aa79e0",
+        "197ce55834a196663132ff04d813a1f102e5097b7f157fff7406ccffcc42afd0",
         "23bd934248a4259b9b875ec586e917ddfd541a45f64a8f24be0727796e3660ad",
     ],
     "sampled_saarc_uniform": [
-        "83838cea9c4b7e764a6f669beede7f9f7a353ad4dee993dd5c90bb6a85fe1501",
+        "b230b9f5de695ebb41ba003bb101fa2f5e4a273ba4fb9de88ac4254ade2289df",
         "6ff7225e04736795f573075b38603af4ea3684b023ff75f79faa878785013f65",
     ],
     "sampled_saarc_nonuniform": [
-        "2081cd56d2e5e8b2f9977ff3f75751af2b839c79b8d3a9b5f3622448e870a278",
+        "239df0cc2284b2f271f2d0c5f46ecf54e21b67991e5167dfba1b94467ac68f59",
         "7a070287af7f6575000a2fa410a77c29323089002c60ccd4a3b5961d49df73de",
     ],
     "sampled_sacr_uniform": [
-        "16c167b17e475171f8864fa000f5f9805d19b74cb2ab0693e21caacf574b0363",
+        "5899676102f49998cdee5bb652b6ab5f70a3479bcf4e0304392ea73ac5499d55",
         "bf73214b8d21d6bb612ff3ba80bed1e867dcdb1f4ab42318d3159e06c9de117d",
     ],
     "sampled_sacr_nonuniform": [
-        "6915c1e7f27614014acc5d23952140c9be82a6aaed61206589056751bdab1d9a",
+        "f7bf7f1e4a38db42727ef74554bf41032c39c9749abb2106e3a43ff2e7478802",
         "ffe8a5a0de04473f32d39f6c273ba4aa01bb9e166705620bcc831c37b3bf8cde",
     ],
     "bench_sarc_nonuniform": [
-        "132aa432217fae2828d61053ad7da0bfafb1ee1e6111c7858d3406fff864a2c7",
+        "877fc5b60ecfe9cc092a93cbfd05ef9b22531946745f15da94853a4585fbe5ee",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_saarc_nonuniform": [
-        "933a9366480bdf63cbd45aa4f205d83f3f475c82944a1e9972f77af4c396940d",
+        "1b75a736afbd37e0df7f48f94a4fb0641ba2d8e2d6b17db1f02d4b05e3fd561d",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_sacr_nonuniform": [
-        "34b471483f8c87ee82de50297c05de157cad6d90157c6d8f845fc7b6e7dd42c8",
+        "362cf99fde51e0eeaf7a1027f641efd5e5c76a06f00d08ac3a1c69e658beb46d",
         "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
     ],
     "family_svm_sarc_uniform": [
-        "f81f9dc86f245e7cd98c0d14592f67fd44a4bac2b3bb87820c193b2cbcaddec6",
+        "2bcb7e80b3d4dafa4d977362b72deab6016cf1c2e588a39ddcfd037e139b9b0f",
         "94b71a1763c3efac61ca8f76f10df6d9d5590dd6b4e96f1362ebba7116266790",
     ],
     "family_svm_saarc_nonuniform": [
-        "098df4244bf46df6db8ec49375ed5bd488bc2e7ffc7965e2070a037ac47e0319",
+        "ed90643e3fccee1dc4de1ddc884a7eed0964a017dc36de852180ec26e2b50e7e",
         "131916e091dce5ad72c0df2b8085f7530d196dcc9dfa5a5304206860082471c1",
     ],
     "family_ridge_sacr_nonuniform": [
-        "062404b5ff92b0fe37a49cc906ed1cbf26d117e5d00a5e9abee6672707dc8495",
+        "f554a2fb9e13b205c7a32d16264955124c0d19cea8d045147638e9d2c8d04827",
         "9e9599361e36ddccba5f0bf1c92e3afa32f7ca6989a5478517d4b123feb54790",
     ],
     "criterion_8_pca": [
-        "90d64237352c0467d9c7e7063c46a11f805dc3e979f7834095b27f68e5baa734",
+        "387dc25b585ba168b49aedf20c4883f21f6897fed3faf0712737baec8439de37",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
 }

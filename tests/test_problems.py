@@ -1,7 +1,11 @@
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from sarc.problems import (
+    GLM_FAMILIES,
     Dataset,
     LossModel,
     batch_gradient,
@@ -144,6 +148,40 @@ class TestCurvature:
         rng = np.random.default_rng(7)
         model, x = random_pca_instance(rng)
         assert np.all(curvature_vector(model, x) == -1.0)
+
+
+def _softplus_exact(z: float) -> Decimal:
+    """ln(1 + e^z) to 800 digits, enough to hold 1 + e^z at z = -745."""
+    with localcontext(prec=800):
+        tail = (1 + Decimal(-abs(z)).exp()).ln()  # ln(1 + e^-|z|)
+        return tail + Decimal(max(z, 0.0))
+
+
+class TestLogisticMaps:
+    LOGISTIC = GLM_FAMILIES["reg_logistic"]
+    # z = -b t over the range where exp(-|z|) is normal or subnormal, with the
+    # points where log1p(exp(-|z|)) falls under an ulp of z (37) and where
+    # exp(z) alone would overflow (708)
+    Z = np.concatenate([np.linspace(-745.0, 745.0, 61),
+                        [0.0, 37.0, -37.0, 708.0, -708.0, 0.5, -0.5, 1e-300, -1e-300]])
+
+    def test_value_within_an_ulp_of_softplus(self):
+        b = np.where(np.arange(self.Z.size) % 2 == 0, 1.0, -1.0)
+        t = -b * self.Z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = self.LOGISTIC.value(t, b, self.LOGISTIC.link(t, b))
+        for z, v in zip(self.Z, value):
+            exact = _softplus_exact(float(z))
+            if exact >= Decimal(np.finfo(float).tiny):
+                assert abs(Decimal(float(v)) - exact) <= Decimal(np.spacing(float(exact))), z
+
+    def test_curvature_is_the_general_formula_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        b = rng.choice([-1.0, 1.0], 4000)
+        t = rng.standard_normal(4000) * 10.0 ** rng.uniform(-3, 3, 4000)
+        s = self.LOGISTIC.link(t, b)
+        assert np.array_equal(self.LOGISTIC.curvature(t, b, s), b * b * s * (1.0 - s))
 
 
 class TestLipschitz:
