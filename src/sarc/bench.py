@@ -17,7 +17,7 @@ from .baselines import BaselineResult, acr_run, agd_run, cr_run, lbfgs_run, sgd_
 from .data import parse_libsvm, synth_logistic
 from .problems import Dataset, LossModel
 from .saarc_driver import saarc_run, sacr_run
-from .sarc_driver import SolverConfig, SolverState, TraceRecord, sarc_run
+from .sarc_driver import SolverConfig, SolverState, TraceRecord, check_integer, sarc_run
 
 # every solver returns a state or result with x, f, grad_norm, status, trace, ledger
 SOLVERS = {
@@ -63,6 +63,7 @@ class RunSpec:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.x0_std < np.inf:
             raise ValueError(f"x0_std must be finite and >= 0, got {self.x0_std}")
+        check_integer("batch", self.batch)
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
 

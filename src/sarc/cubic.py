@@ -79,32 +79,26 @@ class SubproblemResult:
     model_decrease: float  # m(0) - m(s) = -(g.s + 0.5 s.Hs + sigma/3 ||s||^3)
     grad_norm: float  # ||grad m(s)||, from the Lanczos recurrence
     k: int  # Krylov dimension reached
-    # hvp_count is always k and condition_met always status == "converged";
-    # both stay only because perfbench/tracing.py reads them
-    hvp_count: int
     status: str  # converged | breakdown
-    condition_met: bool = True
+
+    # derived names that perfbench/tracing.py reads
+    @property
+    def hvp_count(self) -> int:
+        return self.k  # one Hessian-vector product per Krylov step
+
+    @property
+    def condition_met(self) -> bool:
+        return self.status == "converged"
 
 
 def _tridiag_solve(diag, off, lam, rhs):
-    """(T + lam I)^{-1} rhs for symmetric tridiagonal T = tridiag(off, diag, off).
-
-    Calls LAPACK dgtsv directly, the routine scipy.linalg.solve_banded uses
-    for one sub- and one super-diagonal, so results are bit-identical to it
-    without its per-call argument handling. Like solve_banded, raises
-    ValueError on non-finite input and LinAlgError on a singular system.
-    """
-    d = diag + lam
-    if not (np.isfinite(d).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if d.shape[0] == 1:
-        return rhs / d[0]
-    *_, x, info = scipy.linalg.lapack.dgtsv(off, d, off, rhs, overwrite_d=True)
-    if info > 0:
-        raise scipy.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x
+    """(T + lam I)^{-1} rhs for symmetric tridiagonal T = tridiag(off, diag, off);
+    ValueError on non-finite input, LinAlgError on a singular system."""
+    ab = np.zeros((3, diag.shape[0]))
+    ab[0, 1:] = off
+    ab[1] = diag + lam
+    ab[2, :-1] = off
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
 
 def _tridiag_eig_min(diag, off):
@@ -136,12 +130,16 @@ def solve_tridiagonal_cubic(
     gnorm: float,
     sigma: float,
     tol: float | None = None,
+    lam0: float | None = None,
 ) -> np.ndarray:
     """Global minimizer of gnorm*e1.y + 0.5 y.T y + (sigma/3)||y||^3.
 
     Returns subspace coordinates y. The stationarity residual
     |sigma||y|| - lambda| * ||y|| is driven below `tol` (default
-    SECULAR_TOL*gnorm), or as close as the bracket allows.
+    SECULAR_TOL*gnorm), or as close as the bracket allows. The Newton
+    iteration starts at the multiplier `lam0` when it lies strictly inside
+    the root's bracket (minimize_model passes its previous solve's
+    sigma ||y||), at the middle of the bracket otherwise.
 
     When LAPACK dpttrf factors T with positive pivots, T is positive
     definite: the barrier is 0, the hard case cannot occur, and every Newton
@@ -157,14 +155,6 @@ def solve_tridiagonal_cubic(
     Raises SecularSolveError when the root cannot be bracketed or no Newton
     iterate is finite.
     """
-    return _solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol, None)
-
-
-def _solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol, lam0):
-    """solve_tridiagonal_cubic with the Newton iteration started at the
-    multiplier `lam0` when it lies strictly inside the root's bracket
-    (minimize_model passes its previous solve's sigma ||y||), at the middle
-    of the bracket otherwise."""
     diag = np.asarray(diag, dtype=float).ravel()
     off = np.asarray(off, dtype=float).ravel()
     k = diag.shape[0]
@@ -185,8 +175,6 @@ def _solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol, lam0):
     rhs[0] = -gnorm
 
     if _pd_solver(diag, off, 0.0) is not None:
-        if gnorm == 0.0:
-            return np.zeros(k)
         barrier = 0.0
 
         def shifted(delta):
@@ -198,12 +186,6 @@ def _solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol, lam0):
     else:
         lam_min, v_min = _tridiag_eig_min(diag, off)
         barrier = max(0.0, -lam_min)
-
-        if gnorm == 0.0:
-            if lam_min >= 0.0:
-                return np.zeros(k)
-            return (barrier / sigma) * v_min
-
         # work in delta = lam - barrier: near-barrier roots are representable in
         # delta to full relative precision, never in lam itself
         base = lam_min + barrier  # exactly 0 whenever the barrier is active
@@ -217,6 +199,9 @@ def _solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol, lam0):
                 z -= float(v_min @ z) * v_min
                 return z + (c / (base + delta)) * v_min
             return solve(rhs), solve
+
+    if gnorm == 0.0:
+        return (barrier / sigma) * v_min if barrier > 0.0 else np.zeros(k)
 
     tnorm = float(np.abs(diag).max())
     if k > 1:
@@ -327,13 +312,12 @@ def minimize_model(
     gn = float(np.linalg.norm(g))
     d = g.shape[0]
     if gn == 0.0:
-        return SubproblemResult(np.zeros(d), 0.0, 0.0, 0, 0, "converged")
+        return SubproblemResult(np.zeros(d), 0.0, 0.0, 0, "converged")
 
     Q = np.empty((min(d, 16), d))
     alphas = np.empty(d)
     betas = np.empty(d)
     q = g / gn
-    beta_prev = 0.0
     lam = None  # sigma ||y|| of the last secular solve, its next start
 
     for k in range(1, d + 1):
@@ -344,7 +328,7 @@ def minimize_model(
         Q[k - 1] = q
         w = H.matvec(q)
         if k > 1:
-            w = w - beta_prev * Q[k - 2]
+            w = w - betas[k - 2] * Q[k - 2]
         alpha = float(q @ w)
         w = w - alpha * q
         # one full re-orthogonalization pass keeps Q^T Q = I to ~1e-14
@@ -356,7 +340,7 @@ def minimize_model(
 
         def evaluate(tol=None):
             nonlocal lam
-            y = _solve_tridiagonal_cubic(a, b, gn, sigma, tol, lam)
+            y = solve_tridiagonal_cubic(a, b, gn, sigma, tol, lam)
             sn = float(np.linalg.norm(y))
             lam = sigma * sn
             Ty = a * y
@@ -373,16 +357,14 @@ def minimize_model(
         y, res, decrease, thr = evaluate()
         if res > thr and abs(beta * y[-1]) <= thr / 2.0:
             y, res, decrease, thr = evaluate(thr / 4.0)
-        met = res <= thr
 
-        if met:
+        if res <= thr:
             status = "converged"
         elif (k == d or beta == 0.0
               or beta <= 1e-12 * max(np.abs(a).max(), np.abs(b).max(initial=0.0))):
             status = "breakdown"
         else:
             betas[k - 1] = beta
-            beta_prev = beta
             q = w / beta
             continue
-        return SubproblemResult(Q[:k].T @ y, decrease, res, k, k, status, condition_met=met)
+        return SubproblemResult(Q[:k].T @ y, decrease, res, k, status)

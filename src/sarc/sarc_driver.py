@@ -25,6 +25,7 @@ iteration cap, the terminal statuses and the divergence rule.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -38,6 +39,12 @@ from .sampling import SampleStream, SubsampledHessian, resolve_plan
 
 if TYPE_CHECKING:
     from .saarc_driver import EstimatingSequence
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a setting that is not an integer (numpy integers pass, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -77,12 +84,16 @@ class SolverConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.scheme not in ("uniform", "nonuniform"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        check_integer("max_iters", self.max_iters)
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if not self.grad_tol >= 0.0:
             raise ValueError("grad_tol must be >= 0")
-        if self.fixed_sample_size is not None and self.fixed_sample_size < 1:
-            raise ValueError("fixed_sample_size must be >= 1")
+        if self.fixed_sample_size is not None:
+            check_integer("fixed_sample_size", self.fixed_sample_size)
+            if self.fixed_sample_size < 1:
+                raise ValueError("fixed_sample_size must be >= 1")
+        check_integer("seed", self.seed)
         if not 0 <= self.seed < 2**128:  # the width of a Philox key
             side = ">= 0" if self.seed < 0 else "< 2**128"
             raise ValueError(f"seed must be {side}, got {self.seed}")
@@ -229,7 +240,8 @@ def sarc_init(
     x0: np.ndarray,
     phase: str = "sarc",
 ) -> SolverState:
-    """Evaluate the start point, set eps0, and build the first Hessian there.
+    """Evaluate the start point, set eps0, and build the first Hessian there;
+    a start point where f or ||grad f|| overflows ends the run "diverged".
 
     `phase` is "sarc" for the adaptive driver and "one" for the accelerated
     ones; it selects the sampling failure budget and the trace's phase column.
@@ -239,10 +251,11 @@ def sarc_init(
         raise ValueError("x0 dimension mismatch")
     ledger = EpochLedger(model.n)
 
-    grad = full_gradient(model, x0)
+    with np.errstate(over="ignore"):
+        grad = full_gradient(model, x0)
+        gn = float(np.linalg.norm(grad))
+        f0 = full_value(model, x0)
     ledger.add_gradient_pass()
-    gn = float(np.linalg.norm(grad))
-    f0 = full_value(model, x0)
     eps0 = min(1.0, (1.0 - config.kappa_theta) * gn / 3.0)
 
     state = SolverState(
@@ -250,7 +263,9 @@ def sarc_init(
         sigma=config.sigma0, eps_i=eps0, H=None, trace=[], ledger=ledger,
         stream=SampleStream(config.seed), lip=lipschitz_bounds(model), phase=phase,
     )
-    if gn <= config.grad_tol:
+    if not (np.isfinite(f0) and np.isfinite(gn)):
+        _end(state, "diverged")
+    elif gn <= config.grad_tol:
         _end(state, "stationary" if gn == 0.0 else "converged")
     else:
         _build(state, model, config, x0)

@@ -235,6 +235,32 @@ class TestDivergence:
         assert len(rows) == len(ALGORITHMS)
         assert all("status=diverged" in r for r in rows), rows
 
+    @pytest.mark.parametrize("model, scale", [
+        (LossModel("reg_logistic", 1e-5, synth_logistic(50, 4, 0, 1.0), reg_scale=0.5), 1e300),
+        (_quadratic_model(), 1e200),
+    ], ids=["logistic", "ridge"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_start_ends_diverged(self, model, scale):
+        # every entry of the gradient is finite, its norm or f overflows
+        x0 = np.full(model.d, scale)
+        for algo in ("sarc", "saarc", "sacr", "cr", "acr"):
+            res = SOLVERS[algo](model, SolverConfig(), x0)
+            assert res.status == "diverged", algo
+            assert len(res.trace) == 1 and res.ledger.epochs == 1.0, algo
+            assert not (np.isfinite(res.f) and np.isfinite(res.grad_norm)), algo
+
+    @pytest.mark.filterwarnings("error")
+    def test_cli_row_of_an_overflowing_start(self, tmp_path, capsys):
+        out = str(tmp_path / "t_{algo}.csv")
+        code = cli.main(["run", "--algo", "sarc,saarc", "--synth", "100,5,0,1",
+                         "--x0-std", "1e200", "--out", out])
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert code == 1 and captured.err == "" and len(rows) == 2
+        for algo, row in zip(("sarc", "saarc"), rows):
+            assert f"algo={algo} seed=0 status=diverged iters=0 epochs=1.000 " in row
+            assert len(read_trace(str(tmp_path / f"t_{algo}.csv"))) == 1
+
 
 class TestBaselines:
     def test_agd_classical_rate_bound(self):
@@ -357,6 +383,18 @@ class TestRunSpec:
         with pytest.raises(ValueError, match=r"^lambda must be finite"):
             RunSpec(algo="sarc", lam=value)
 
+    @pytest.mark.parametrize("name", ["max_iters", "fixed_sample_size", "seed", "batch"])
+    def test_integer_settings_must_be_integers(self, name):
+        if name == "batch":
+            make = lambda v: RunSpec(algo="sgd", batch=v)
+        else:
+            make = lambda v: SolverConfig(**{name: v})
+        for bad in (2.5, 2.0, True, np.float64(3.0)):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+                make(bad)
+        make(np.int64(3))
+        make(np.uint8(3))
+
     def test_exit_codes(self):
         expected = {"converged": 0, "stationary": 0, "max_iters": 2, "phase1_exhausted": 2,
                     "diverged": 1, "linesearch_failed": 1, "sequence_growth_failed": 1,
@@ -413,7 +451,7 @@ class TestCliGrid:
         def fail(*args):
             raise cubic.SecularSolveError("secular equation solver did not converge")
 
-        monkeypatch.setattr(cubic, "_solve_tridiagonal_cubic", fail)
+        monkeypatch.setattr(cubic, "solve_tridiagonal_cubic", fail)
         out = str(tmp_path / "{algo}.csv")
         code = cli.main(["run", "--algo", "sarc,saarc,sacr,cr,acr", "--synth", "200,4,0,1",
                          "--x0-std", "1", "--max-iters", "30", "--out", out])
