@@ -2,7 +2,7 @@
 with an accelerated variant, a hybrid scheme, and a benchmark harness."""
 
 from .accounting import EpochLedger
-from .baselines import BaselineResult, acr_run, agd_run, cr_run, lbfgs_run, sgd_run
+from .baselines import acr_run, agd_run, cr_run, lbfgs_run, sgd_run
 from .bench import EXIT_CODES, RunSpec, exit_code, read_trace, run_benchmark, write_trace
 from .cubic import SecularSolveError, SubproblemResult, minimize_model, solve_tridiagonal_cubic
 from .data import LibsvmFormatError, parse_libsvm, synth_logistic
@@ -37,7 +37,7 @@ from .sarc_driver import SolverConfig, SolverState, TraceRecord, run, sarc_init,
 
 __all__ = [
     "EpochLedger",
-    "BaselineResult", "acr_run", "agd_run", "cr_run", "lbfgs_run", "sgd_run",
+    "acr_run", "agd_run", "cr_run", "lbfgs_run", "sgd_run",
     "EXIT_CODES", "RunSpec", "exit_code", "read_trace", "run_benchmark", "write_trace",
     "SecularSolveError", "SubproblemResult", "minimize_model", "solve_tridiagonal_cubic",
     "LibsvmFormatError", "parse_libsvm", "synth_logistic",

@@ -7,23 +7,23 @@ full gradient per iteration for AGD/L-BFGS, the batch size for SGD. Function
 values are free, and the full gradient norms written to the trace of SGD/AGD
 are diagnostics, not charged queries. Each first-order method is written as
 a generator that yields every iterate with the component gradient queries it
-took; `_baseline` runs it in one loop that charges those queries and owns the
-trace, the iteration cap and the divergence rule the cubic drivers share.
+took; `_baseline` steps it through the cubic drivers' `SolverState` and `run`,
+so the start rule, the trace, the iteration cap and the divergence rule are
+theirs.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .accounting import EpochLedger
 from .problems import LossModel, batch_gradient, full_gradient, full_value, lipschitz_bounds
 from .saarc_driver import saarc_run
-from .sarc_driver import SolverConfig, SolverState, TraceRecord, _diverged, sarc_run
+from .sarc_driver import SolverConfig, SolverState, _record, _start_status, run, sarc_run
 
 
 def cr_run(model: LossModel, config: SolverConfig, x0) -> SolverState:
@@ -36,55 +36,42 @@ def acr_run(model: LossModel, config: SolverConfig, x0) -> SolverState:
     return saarc_run(model, replace(config, exact_hessian=True), x0)
 
 
-@dataclass
-class BaselineResult:
-    x: np.ndarray
-    f: float
-    grad_norm: float
-    status: str
-    trace: list[TraceRecord]
-    ledger: EpochLedger
-
-
 def _baseline(method):
     """Turn `method(model, config, x0, **options)`, a generator of iterates,
     into a run with the same signature and its own ledger.
 
     Each (x, f, grad_norm, queries) the generator yields, the start point
     first, is charged `queries` component gradients and then recorded; the
-    run ends at the gradient tolerance, on divergence, at the iteration cap,
-    or with the status the generator returns when it stops.
+    shared run loop pulls one iterate per iteration, and the generator's
+    return value, when it stops, is the run's status.
     """
 
     @functools.wraps(method)
-    def run(model: LossModel, config: SolverConfig, x0, **options) -> BaselineResult:
-        ledger = EpochLedger(model.n)
+    def run_method(model: LossModel, config: SolverConfig, x0, **options) -> SolverState:
         iterates = method(model, config, x0, **options)
-        t0 = time.perf_counter()
-        trace: list[TraceRecord] = []
-        while True:
-            try:
-                x, f, gn, queries = next(iterates)
-            except StopIteration as stop:
-                status = stop.value
-                break
-            ledger.add_gradient_pass(queries)
-            trace.append(TraceRecord(
-                iteration=len(trace), epochs=ledger.epochs, f=f, grad_norm=gn,
-                wall_time=time.perf_counter() - t0,
-            ))
-            if gn <= config.grad_tol:
-                status = "converged"
-                break
-            if _diverged(f, trace[0].f):
-                status = "diverged"
-                break
-            if len(trace) > config.max_iters:
-                status = "max_iters"
-                break
-        return BaselineResult(x, f, gn, status, trace, ledger)
+        with np.errstate(over="ignore"):  # an overflowing start ends "diverged"
+            x, f, gn, queries = next(iterates)
+        state = SolverState(x=x, f=f, grad_norm=gn, trace=[], ledger=EpochLedger(model.n),
+                            phase="", status=_start_status(f, gn, config))
+        state.ledger.add_gradient_pass(queries)
+        _record(state, success=None)
 
-    return run
+        def advance(state: SolverState, model: LossModel, config: SolverConfig):
+            try:
+                state.x, state.f, state.grad_norm, queries = next(iterates)
+            except StopIteration as stop:
+                state.status = stop.value
+                return state
+            state.ledger.add_gradient_pass(queries)
+            state.iteration += 1
+            if state.grad_norm <= config.grad_tol:
+                state.status = "converged"
+            _record(state, success=None)
+            return state
+
+        return run(state, model, config, {"": advance})
+
+    return run_method
 
 
 def _diagnostic_norm(model: LossModel, x: np.ndarray) -> float:

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .baselines import BaselineResult, acr_run, agd_run, cr_run, lbfgs_run, sgd_run
+from .baselines import acr_run, agd_run, cr_run, lbfgs_run, sgd_run
 from .data import parse_libsvm, synth_logistic
-from .problems import Dataset, LossModel
+from .problems import Dataset, LossModel, check_integer
 from .saarc_driver import saarc_run, sacr_run
-from .sarc_driver import SolverConfig, SolverState, TraceRecord, check_integer, sarc_run
+from .sarc_driver import SolverConfig, SolverState, TraceRecord, sarc_run
 
-# every solver returns a state or result with x, f, grad_norm, status, trace, ledger
+# every solver returns a terminal SolverState
 SOLVERS = {
     "sarc": sarc_run, "saarc": saarc_run, "sacr": sacr_run, "cr": cr_run,
     "acr": acr_run, "agd": agd_run, "sgd": sgd_run, "lbfgs": lbfgs_run,
@@ -73,8 +73,7 @@ def load_dataset(data_path: str | None, synth: tuple | None) -> Dataset:
     (n, d, seed, skew) describes."""
     if data_path is not None:
         return parse_libsvm(data_path)
-    n, d, seed, skew = synth
-    return synth_logistic(int(n), int(d), int(seed), float(skew))
+    return synth_logistic(*synth)  # no casts: a 1.5 seed must not read as 1
 
 
 def build_model(dataset: Dataset, lam: float) -> LossModel:
@@ -95,8 +94,8 @@ def exit_code(status: str) -> int:
     return EXIT_CODES.get(status, 1)
 
 
-def run_benchmark(spec: RunSpec, dataset: Dataset) -> SolverState | BaselineResult:
-    """Run one spec on `dataset` and return the solver's own result."""
+def run_benchmark(spec: RunSpec, dataset: Dataset) -> SolverState:
+    """Run one spec on `dataset` and return the solver's final state."""
     model = build_model(dataset, spec.lam)
     rng = np.random.default_rng(np.random.SeedSequence([spec.config.seed, 17]))
     x0 = rng.standard_normal(dataset.d) * spec.x0_std

@@ -25,7 +25,7 @@ from itertools import repeat
 
 from .bench import ALGORITHMS, RunSpec, exit_code, load_dataset, run_benchmark
 from .problems import Dataset
-from .sarc_driver import SolverConfig, SolverState
+from .sarc_driver import SolverConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,7 +140,7 @@ def _run_one(spec: RunSpec, dataset: Dataset) -> tuple[str, int, str | None]:
         report = f"{head}: {exc}\n{traceback.format_exc().rstrip()}"
         return f"{head} status=error:{type(exc).__name__} out={spec.out}", 1, report
     counts = ""
-    if isinstance(result, SolverState):  # the cubic methods
+    if result.phase:  # the cubic methods; the baselines' phase is blank
         counts = f"psd_violations={result.psd_violations} unmet={result.unmet_subproblems} "
     line = (
         f"{head} status={result.status} iters={len(result.trace) - 1} "

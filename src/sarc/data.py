@@ -8,7 +8,7 @@ import re
 import numpy as np
 import scipy.sparse as sp
 
-from .problems import Dataset
+from .problems import Dataset, check_integer
 
 _TOKEN = re.compile(r"\S+")
 
@@ -112,6 +112,8 @@ def synth_logistic(
     curvature bounds small, which makes the concentration sample sizes bite
     below n at desk scale.
     """
+    for name, value in (("n", n), ("d", d), ("seed", seed)):
+        check_integer(name, value)
     if n < 1 or d < 1:
         raise ValueError("need n, d >= 1")
     if not 0 <= seed < 2**128:  # the width of a Philox key

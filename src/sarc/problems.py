@@ -21,6 +21,7 @@ reg_scale=1.0 gives lam*||x||^2 per component, reg_scale=0.5 gives
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -99,6 +100,12 @@ GLM_FAMILIES = {
     ),
 }
 FAMILIES = tuple(GLM_FAMILIES)
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a setting that is not an integer (numpy integers pass, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class DegenerateCurvatureError(ValueError):
@@ -188,6 +195,8 @@ class LossModel:
             raise ValueError(f"unknown family {self.family!r}")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0.0 <= self.reg_scale < np.inf:
+            raise ValueError(f"reg_scale must be finite and >= 0, got {self.reg_scale}")
         if self.family in ("reg_logistic", "nonconvex_svm"):
             labels = np.unique(self.dataset.b)
             if not np.all(np.isin(labels, (-1.0, 1.0))):

@@ -38,7 +38,6 @@ from .sarc_driver import (
     SolverConfig,
     SolverState,
     _build,
-    _end,
     _finite,
     _record,
     _reject,
@@ -133,7 +132,7 @@ def _switch(state: SolverState, config: SolverConfig) -> None:
     state.switch_iteration = state.iteration
     state.phase = "sarc"
     state.eps_i = min(1.0, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
-    state.needs_rebuild = True
+    state.H = None
 
 
 def phase1_step(state: SolverState, model: LossModel, config: SolverConfig) -> SolverState:
@@ -159,7 +158,7 @@ def phase1_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     state.grad_norm = float(np.linalg.norm(state.grad))
     _record(state, success=True)
     if state.grad_norm <= config.grad_tol:
-        _end(state, "converged")
+        state.status = "converged"
     elif state.hybrid and relative_progress_trigger(f_old, state.f):
         _switch(state, config)
     else:
@@ -206,7 +205,7 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     try:
         z, growths = grow_varsigma(seq, threshold, config.gamma3)
     except SequenceGrowthError:
-        _end(state, "sequence_growth_failed")
+        state.status = "sequence_growth_failed"
         _record(state, success=False)
         return state
     state.T3 += growths
@@ -219,7 +218,7 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     state.l = l_new
 
     if state.grad_norm <= config.grad_tol:
-        _end(state, "converged")
+        state.status = "converged"
         _record(state, success=True)
         return state
     if state.hybrid and relative_progress_trigger(f_old, f_new):
@@ -240,7 +239,7 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
             state.f = f_y
             state.grad = state.grad_y
             state.grad_norm = grad_y_norm
-        _end(state, "converged")
+        state.status = "converged"
     else:
         _build(state, model, config, state.y)
     _record(state, success=True)

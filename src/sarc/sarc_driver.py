@@ -17,15 +17,14 @@ next step only if x moved, which charges nothing extra on the terminal
 success. Epochs are charged through the run's own ledger: one full gradient per
 accepted step, the sample size once per build, function values free.
 
-The run state, the Hessian build, the subproblem call, the trace record and
-the run loop defined here are shared with the accelerated and hybrid
-drivers: one loop steps the state with the step of its phase and owns the
-iteration cap, the terminal statuses and the divergence rule.
+The run state, start rule, trace record and run loop defined here serve
+every driver, the first-order baselines too; the Hessian build and the
+subproblem call serve the cubic ones. One loop steps the state with the step
+of its phase and owns the iteration cap, the statuses and the divergence rule.
 """
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -34,17 +33,13 @@ import numpy as np
 
 from .accounting import EpochLedger
 from .cubic import SecularSolveError, SubproblemResult, minimize_model
-from .problems import LipschitzInfo, LossModel, full_gradient, full_value, lipschitz_bounds
+from .problems import (
+    LipschitzInfo, LossModel, check_integer, full_gradient, full_value, lipschitz_bounds,
+)
 from .sampling import SampleStream, SubsampledHessian, resolve_plan
 
 if TYPE_CHECKING:
     from .saarc_driver import EstimatingSequence
-
-
-def check_integer(name: str, value) -> None:
-    """Reject a setting that is not an integer (numpy integers pass, bools do not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -118,31 +113,30 @@ class TraceRecord:
 
 @dataclass
 class SolverState:
-    """The run state of every cubic driver.
+    """The run state of every driver, the first-order baselines included.
 
     `phase` is "sarc" for the non-accelerated driver, "one" and "two" for the
-    phases of the accelerated one; the hybrid flips "one"/"two" to "sarc" at
-    its switch when `hybrid` is set. `x`, `f`, `grad`, `grad_norm` always
-    describe the iterate (the anchor xbar_l in phase two); `y`, `grad_y`,
-    `seq`, `l` and `T3` (the count of varsigma growths) belong to the
-    accelerated phases.
+    phases of the accelerated one and "" for the baselines, which leave the
+    cubic fields from `grad` to `lip` at None; the hybrid flips "one"/"two" to
+    "sarc" at its switch when `hybrid` is set. `x`, `f`, `grad`, `grad_norm`
+    always describe the iterate (the anchor xbar_l in phase two), and `H` is
+    None until the next step rebuilds it; `y`, `grad_y`, `seq`, `l` and `T3`
+    (the count of varsigma growths) belong to the accelerated phases.
     """
 
     x: np.ndarray
     f: float
-    grad: np.ndarray
     grad_norm: float
-    sigma: float
-    eps_i: float
-    H: SubsampledHessian | None
     trace: list[TraceRecord]
     ledger: EpochLedger
-    stream: SampleStream
-    lip: LipschitzInfo
+    grad: np.ndarray | None = None
+    sigma: float | None = None
+    eps_i: float | None = None
+    H: SubsampledHessian | None = None
+    stream: SampleStream | None = None
+    lip: LipschitzInfo | None = None
     phase: str = "sarc"
     iteration: int = 0
-    needs_rebuild: bool = False
-    terminal: bool = False
     status: str = "running"
     psd_violations: int = 0
     unmet_subproblems: int = 0  # subproblems that ended without meeting their condition
@@ -154,6 +148,10 @@ class SolverState:
     hybrid: bool = False  # switch to "sarc" once a success makes little progress
     switch_iteration: int | None = None  # hybrid only: iteration of the switch to "sarc"
     t0: float = field(default_factory=time.perf_counter)
+
+    @property
+    def terminal(self) -> bool:
+        return self.status != "running"
 
 
 def _build(state: SolverState, model: LossModel, config: SolverConfig, point: np.ndarray):
@@ -176,7 +174,6 @@ def _build(state: SolverState, model: LossModel, config: SolverConfig, point: np
     shift = 0.0 if config.exact_hessian else state.eps_i / 2.0
     state.H = SubsampledHessian(model, point, plan, state.stream, shift=shift)
     state.ledger.add_hessian_build(plan.size)
-    state.needs_rebuild = False
 
 
 def _subproblem(state: SolverState, config: SolverConfig, g: np.ndarray) -> SubproblemResult:
@@ -223,15 +220,14 @@ def _reject(state: SolverState, config: SolverConfig) -> SolverState:
     return state
 
 
-def _end(state: SolverState, status: str) -> None:
-    state.terminal = True
-    state.status = status
-
-
-def _diverged(f: float, f0: float) -> bool:
-    """The divergence rule of every run loop: |f| beyond a thousandfold of
-    |f(x0)| (of 1 when f(x0) = 0), which also catches -inf and nan."""
-    return not abs(f) <= 1e3 * (abs(f0) if f0 != 0.0 else 1.0)
+def _start_status(f: float, grad_norm: float, config: SolverConfig) -> str:
+    """Every run's status at its start point: "diverged" where f or ||grad f||
+    is not finite, "stationary" at ||grad f|| = 0, "converged" within grad_tol."""
+    if not (np.isfinite(f) and np.isfinite(grad_norm)):
+        return "diverged"
+    if grad_norm <= config.grad_tol:
+        return "stationary" if grad_norm == 0.0 else "converged"
+    return "running"
 
 
 def sarc_init(
@@ -260,14 +256,11 @@ def sarc_init(
 
     state = SolverState(
         x=x0.copy(), f=f0, grad=grad, grad_norm=gn,
-        sigma=config.sigma0, eps_i=eps0, H=None, trace=[], ledger=ledger,
+        sigma=config.sigma0, eps_i=eps0, trace=[], ledger=ledger,
         stream=SampleStream(config.seed), lip=lipschitz_bounds(model), phase=phase,
+        status=_start_status(f0, gn, config),
     )
-    if not (np.isfinite(f0) and np.isfinite(gn)):
-        _end(state, "diverged")
-    elif gn <= config.grad_tol:
-        _end(state, "stationary" if gn == 0.0 else "converged")
-    else:
+    if not state.terminal:
         _build(state, model, config, x0)
     _record(state, success=None)
     return state
@@ -283,7 +276,7 @@ def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> Sol
     """One accept/reject iteration; appends exactly one trace record."""
     if state.terminal:
         raise RuntimeError("step on a terminal state")
-    if state.needs_rebuild:
+    if state.H is None:
         _build(state, model, config, state.x)
 
     sub = _subproblem(state, config, state.grad)
@@ -312,10 +305,10 @@ def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> Sol
     state.grad_norm = float(np.linalg.norm(state.grad))
     state.eps_i = min(state.eps_i, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
     state.sigma = max(config.sigma_min, state.sigma / config.gamma1)
-    state.needs_rebuild = True
     if state.grad_norm <= config.grad_tol:
-        _end(state, "converged")
+        state.status = "converged"
     _record(state, success=True)
+    state.H = None  # rebuilt at the new iterate by the next step, if any
     return state
 
 
@@ -324,12 +317,13 @@ STEPS = {"sarc": sarc_step}
 
 def run(state: SolverState, model: LossModel, config: SolverConfig,
         steps: dict = STEPS) -> SolverState:
-    """Step `state` with `steps[state.phase]` until a terminal status, the
-    divergence rule or the iteration cap ("phase1_exhausted" if phase one
-    never ended, else "max_iters"); the accelerated driver passes its own
-    table of steps. A secular solve that fails ends the run as
-    "subproblem_failed" with a failed row for the iteration it began."""
-    f0 = state.trace[0].f
+    """Step `state` with `steps[state.phase]` until a terminal status,
+    divergence (|f| beyond a thousandfold of |f(x0)|, of 1 when f(x0) = 0;
+    -inf and nan count too) or the iteration cap ("phase1_exhausted" if
+    phase one never ended, else "max_iters"); the accelerated driver and the
+    baselines pass their own table of steps. A secular solve that fails ends
+    the run as "subproblem_failed" with a failed row for the iteration it began."""
+    f_cap = 1e3 * (abs(state.trace[0].f) or 1.0)
     while not state.terminal:
         if state.iteration >= config.max_iters:
             state.status = "phase1_exhausted" if state.phase == "one" else "max_iters"
@@ -339,10 +333,10 @@ def run(state: SolverState, model: LossModel, config: SolverConfig,
         except SecularSolveError:
             # every step calls _subproblem before it changes the iterate
             state.iteration += 1
-            _end(state, "subproblem_failed")
+            state.status = "subproblem_failed"
             _record(state, success=False)
-        if not state.terminal and _diverged(state.f, f0):
-            _end(state, "diverged")
+        if not state.terminal and not abs(state.f) <= f_cap:
+            state.status = "diverged"
     return state
 
 

@@ -26,7 +26,7 @@ from sarc.bench import (
 )
 from sarc.data import LibsvmFormatError, parse_libsvm, synth_logistic
 from sarc.problems import Dataset, LossModel, full_value, lipschitz_bounds
-from sarc.sarc_driver import SolverConfig, sarc_init
+from sarc.sarc_driver import SolverConfig, SolverState, sarc_init
 
 from oracles import diag_quadratic_problem, snapshot
 
@@ -157,6 +157,14 @@ class TestSynthData:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             synth_logistic(100, 5, -1, 1.0)
+        # a size or seed that is not an integer is named, not truncated
+        for args, name in (((2.5, 3, 1, 1.0), "n"), ((10, 3.0, 1, 1.0), "d"),
+                           ((10, 3, 1.5, 1.0), "seed"), ((10, 3, True, 1.0), "seed")):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+                synth_logistic(*args)
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+                bench.load_dataset(None, args)
+        assert synth_logistic(np.int64(10), 3, np.uint8(1), 1.0).n == 10
 
     def test_seed_bound_is_the_philox_key_width(self):
         with pytest.raises(ValueError, match=r"seed must be < 2\*\*128"):
@@ -243,23 +251,34 @@ class TestDivergence:
     def test_overflowing_start_ends_diverged(self, model, scale):
         # every entry of the gradient is finite, its norm or f overflows
         x0 = np.full(model.d, scale)
-        for algo in ("sarc", "saarc", "sacr", "cr", "acr"):
-            res = SOLVERS[algo](model, SolverConfig(), x0)
+        for algo, solver in SOLVERS.items():
+            res = solver(model, SolverConfig(), x0)
             assert res.status == "diverged", algo
-            assert len(res.trace) == 1 and res.ledger.epochs == 1.0, algo
+            # agd and sgd take no charged query at the start point
+            start_epochs = 0.0 if algo in ("agd", "sgd") else 1.0
+            assert len(res.trace) == 1 and res.ledger.epochs == start_epochs, algo
             assert not (np.isfinite(res.f) and np.isfinite(res.grad_norm)), algo
 
     @pytest.mark.filterwarnings("error")
     def test_cli_row_of_an_overflowing_start(self, tmp_path, capsys):
         out = str(tmp_path / "t_{algo}.csv")
-        code = cli.main(["run", "--algo", "sarc,saarc", "--synth", "100,5,0,1",
+        code = cli.main(["run", "--algo", "sarc,saarc,lbfgs", "--synth", "100,5,0,1",
                          "--x0-std", "1e200", "--out", out])
         captured = capsys.readouterr()
         rows = captured.out.splitlines()
-        assert code == 1 and captured.err == "" and len(rows) == 2
-        for algo, row in zip(("sarc", "saarc"), rows):
+        assert code == 1 and captured.err == "" and len(rows) == 3
+        for algo, row in zip(("sarc", "saarc", "lbfgs"), rows):
             assert f"algo={algo} seed=0 status=diverged iters=0 epochs=1.000 " in row
             assert len(read_trace(str(tmp_path / f"t_{algo}.csv"))) == 1
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_every_solver_returns_a_terminal_state(algo):
+    # one run lifecycle: the cap ends every run, with one row per iteration
+    model = LossModel("reg_logistic", 1e-4, synth_logistic(200, 5, 1, 1.0), reg_scale=0.5)
+    res = SOLVERS[algo](model, SolverConfig(grad_tol=0.0, max_iters=3), np.ones(5))
+    assert isinstance(res, SolverState) and res.terminal
+    assert res.iteration == 3 == len(res.trace) - 1
 
 
 class TestBaselines:
@@ -333,10 +352,10 @@ class TestBaselines:
         cfg = SolverConfig(grad_tol=1e-12, max_iters=10)
         for runner in (agd_run, lbfgs_run):
             res = runner(model, cfg, np.zeros(4))
-            assert res.status == "converged"
+            assert res.status == "stationary" and exit_code(res.status) == 0
             assert len(res.trace) == 1
         res = sgd_run(model, cfg, np.zeros(4), batch=2)
-        assert res.status == "converged"
+        assert res.status == "stationary"
 
     def test_runs_take_model_config_x0_and_their_own_options_only(self):
         for algo, solver in SOLVERS.items():

@@ -241,6 +241,10 @@ class TestValidation:
         for c in (np.nan, -np.inf):
             with pytest.raises(ValueError, match="linear term contains non-finite"):
                 LossModel("ridge_least_squares", 0.0, ds, linear=np.array([c]))
+        for reg_scale in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="reg_scale must be finite and >= 0"):
+                LossModel("ridge_least_squares", 1.0, ds, reg_scale=reg_scale)
+        assert LossModel("ridge_least_squares", 1.0, ds, reg_scale=0.0).reg_curvature() == 0.0
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from sarc import cubic, sarc_driver
 from sarc.accounting import EpochLedger
 from sarc.data import synth_logistic
 from sarc.problems import Dataset, LossModel
-from sarc.saarc_driver import saarc_run
+from sarc.saarc_driver import phase1_step, saarc_run
 from sarc.sarc_driver import SolverConfig, sarc_init, sarc_run, sarc_step
 
 
@@ -43,7 +43,7 @@ class TestSingleStep:
         assert theta == pytest.approx(1.225875, abs=1e-5)
         assert state.sigma == pytest.approx(0.5)  # max(0.1, 1/2)
         assert state.eps_i == pytest.approx(min(0.95 / 3.0, 0.95 * state.grad_norm / 3.0))
-        assert state.needs_rebuild
+        assert state.H is None  # rebuilt at the new iterate by the next step
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_trial_point_is_rejected(self, poison_next_step, value):
@@ -96,7 +96,6 @@ class TestSingleStep:
         assert state.sigma == pytest.approx(0.1)  # gamma1 * sigma0
         assert state.H is H0  # operator reused, nothing rebuilt
         assert state.ledger.epochs == epochs0  # failures charge nothing
-        assert not state.needs_rebuild
 
     def test_step_on_terminal_state_raises(self):
         model = _half_norm_squared_model()
@@ -105,6 +104,20 @@ class TestSingleStep:
         assert state.terminal
         with pytest.raises(RuntimeError):
             sarc_step(state, model, cfg)
+
+    def test_step_on_a_capped_run_raises(self):
+        model = LossModel("reg_logistic", 1e-5, synth_logistic(100, 5, 7, 1.0), reg_scale=0.5)
+        cfg = SolverConfig(grad_tol=1e-14, max_iters=2)
+        state = sarc_run(model, cfg, np.ones(5))
+        assert state.status == "max_iters"
+        with pytest.raises(RuntimeError):
+            sarc_step(state, model, cfg)
+        assert len(state.trace) == 3
+        state = saarc_run(model, dataclasses.replace(cfg, max_iters=0), np.ones(5))
+        assert state.status == "phase1_exhausted"
+        with pytest.raises(RuntimeError):
+            phase1_step(state, model, cfg)
+        assert len(state.trace) == 1
 
 
 class TestInitialization:
@@ -274,7 +287,7 @@ class TestFullRuns:
         cfg = SolverConfig(grad_tol=1e-14, max_iters=2)
         state = sarc_run(model, cfg, np.ones(5))
         assert state.status == "max_iters"
-        assert not state.terminal
+        assert state.terminal
         assert state.iteration == 2
 
     def test_sparse_logistic_meets_every_subproblem_condition(self):
