@@ -63,7 +63,6 @@ def _baseline(method):
                 state.status = stop.value
                 return state
             state.ledger.add_gradient_pass(queries)
-            state.iteration += 1
             if state.grad_norm <= config.grad_tol:
                 state.status = "converged"
             _record(state, success=None)

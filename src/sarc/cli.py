@@ -141,7 +141,7 @@ def _run_one(spec: RunSpec, dataset: Dataset) -> tuple[str, int, str | None]:
         return f"{head} status=error:{type(exc).__name__} out={spec.out}", 1, report
     counts = ""
     if result.phase:  # the cubic methods; the baselines' phase is blank
-        counts = f"psd_violations={result.psd_violations} unmet={result.unmet_subproblems} "
+        counts = f"unmet={result.unmet_subproblems} "
     line = (
         f"{head} status={result.status} iters={len(result.trace) - 1} "
         f"epochs={result.ledger.epochs:.3f} f={result.f:.6e} "

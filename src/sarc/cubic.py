@@ -360,8 +360,7 @@ def minimize_model(
 
         if res <= thr:
             status = "converged"
-        elif (k == d or beta == 0.0
-              or beta <= 1e-12 * max(np.abs(a).max(), np.abs(b).max(initial=0.0))):
+        elif k == d or beta <= 1e-12 * max(np.abs(a).max(), np.abs(b).max(initial=0.0)):
             status = "breakdown"
         else:
             betas[k - 1] = beta

@@ -119,8 +119,9 @@ def synth_logistic(
     if not 0 <= seed < 2**128:  # the width of a Philox key
         side = ">= 0" if seed < 0 else "< 2**128"
         raise ValueError(f"seed must be {side}, got {seed}")
-    if skew <= 0.0 or scale <= 0.0:
-        raise ValueError("skew and scale must be > 0")
+    for name, value in (("skew", skew), ("scale", scale)):
+        if not 0.0 < value < math.inf:  # nan fails too
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     rng = np.random.default_rng(np.random.Philox(key=seed))
     A = scale * rng.standard_normal((n, d))
     A[0] *= skew

@@ -38,10 +38,11 @@ from .sarc_driver import (
     SolverConfig,
     SolverState,
     _build,
-    _finite,
+    _move,
     _record,
     _reject,
     _subproblem,
+    _trial,
     run,
     sarc_init,
     sarc_step,
@@ -140,22 +141,11 @@ def phase1_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     step with m - f(x+s) > 0 is accepted and starts phase two."""
     if state.terminal or state.phase != "one":
         raise RuntimeError("phase1_step requires a live phase-one state")
-    sub = _subproblem(state, config, state.grad)
-    x_trial = state.x + sub.s
-    accept = _finite(x_trial)
-    if accept:
-        f_trial = full_value(model, x_trial)
-        accept = (state.f - sub.model_decrease) - f_trial > 0.0  # m(s) - f(x+s) > 0
-    state.iteration += 1
-    if not accept:
+    sub, x_trial, f_trial = _trial(state, model, config)
+    if not (state.f - sub.model_decrease) - f_trial > 0.0:  # m(s) - f(x+s) > 0
         return _reject(state, config)
-
-    state.x = x_trial
     f_old = state.f
-    state.f = f_trial
-    state.grad = full_gradient(model, state.x)
-    state.ledger.add_gradient_pass()
-    state.grad_norm = float(np.linalg.norm(state.grad))
+    _move(state, model, x_trial, f_trial)
     _record(state, success=True)
     if state.grad_norm <= config.grad_tol:
         state.status = "converged"
@@ -183,10 +173,8 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     sub = _subproblem(state, config, state.grad_y)
     s = sub.s
     sn = float(np.linalg.norm(s))
-    state.iteration += 1
-
     x_trial = state.y + s
-    if sn == 0.0 or not _finite(x_trial):
+    if sn == 0.0 or not np.isfinite(x_trial).all():
         return _reject(state, config)
 
     grad_trial = full_gradient(model, x_trial)
@@ -210,39 +198,31 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
         return state
     state.T3 += growths
     _audit_sequence(seq, z, threshold)
-
-    state.x = x_trial
-    state.f = f_new
-    state.grad = grad_trial
-    state.grad_norm = float(np.linalg.norm(grad_trial))
+    _move(state, model, x_trial, f_new, grad_trial)
     state.l = l_new
 
+    switch = False
     if state.grad_norm <= config.grad_tol:
         state.status = "converged"
-        _record(state, success=True)
-        return state
-    if state.hybrid and relative_progress_trigger(f_old, f_new):
-        _record(state, success=True)
-        _switch(state, config)
-        return state
-
-    state.y = (l_new / (l_new + 3.0)) * x_trial + (3.0 / (l_new + 3.0)) * z
-    state.grad_y = full_gradient(model, state.y)
-    state.ledger.add_gradient_pass()
-    grad_y_norm = float(np.linalg.norm(state.grad_y))
-    state.eps_i = min(1.0, (1.0 - config.kappa_theta) * grad_y_norm / 2.0)
-    if grad_y_norm <= config.grad_tol:
-        # extrapolation landed on a stationary point; adopt it if it is better
-        f_y = full_value(model, state.y)
-        if f_y <= state.f:
-            state.x = state.y
-            state.f = f_y
-            state.grad = state.grad_y
-            state.grad_norm = grad_y_norm
-        state.status = "converged"
+    elif state.hybrid and relative_progress_trigger(f_old, f_new):
+        switch = True
     else:
-        _build(state, model, config, state.y)
+        state.y = (l_new / (l_new + 3.0)) * x_trial + (3.0 / (l_new + 3.0)) * z
+        state.grad_y = full_gradient(model, state.y)
+        state.ledger.add_gradient_pass()
+        grad_y_norm = float(np.linalg.norm(state.grad_y))
+        state.eps_i = min(1.0, (1.0 - config.kappa_theta) * grad_y_norm / 2.0)
+        if grad_y_norm <= config.grad_tol:
+            # extrapolation landed on a stationary point; adopt it if it is better
+            f_y = full_value(model, state.y)
+            if f_y <= state.f:
+                _move(state, model, state.y, f_y, state.grad_y)
+            state.status = "converged"
+        else:
+            _build(state, model, config, state.y)
     _record(state, success=True)
+    if switch:
+        _switch(state, config)
     return state
 
 

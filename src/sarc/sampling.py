@@ -179,7 +179,6 @@ class SubsampledHessian:
     def __init__(self, model: LossModel, x: np.ndarray, plan: SamplingPlan,
                  stream: SampleStream | None = None, *, shift: float):
         x = np.asarray(x, dtype=float).ravel()
-        self.model = model
         self.plan = plan
         self.shift = float(shift)
         n = model.n
@@ -202,9 +201,8 @@ class SubsampledHessian:
             curv = GLM_FAMILIES[model.family].curvature(p.t[idx], b, p.link[idx])
         self.indices = idx
         self._weights = w
-        self._w_sum = float(w.sum())
         self._coeffs = w * curv
-        self._diag = self._w_sum * model.reg_curvature()
+        self._diag = float(w.sum()) * model.reg_curvature()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float).ravel()

@@ -9,8 +9,9 @@ weight sigma and the Hessian accuracy eps_i:
               sigma <- max(sigma_min, sigma/gamma1), Hessian rebuilt at x
     failure:  sigma <- gamma1*sigma, iterate and Hessian kept
 
-A trial point with a non-finite entry is a failure, and f is not evaluated
-there.
+A step whose model predicts no decrease is a failure. So is a trial point
+with a non-finite entry: f is not evaluated there but taken as inf, which
+every acceptance test rejects.
 
 The Hessian rebuild is lazy: a fresh operator is sampled at the top of the
 next step only if x moved, which charges nothing extra on the terminal
@@ -18,9 +19,12 @@ success. Epochs are charged through the run's own ledger: one full gradient per
 accepted step, the sample size once per build, function values free.
 
 The run state, start rule, trace record and run loop defined here serve
-every driver, the first-order baselines too; the Hessian build and the
-subproblem call serve the cubic ones. One loop steps the state with the step
-of its phase and owns the iteration cap, the statuses and the divergence rule.
+every driver, the first-order baselines too; the Hessian build, the
+subproblem call, the trial point and the move of the iterate serve the cubic
+ones. One loop steps the state with the step of its phase and owns the
+iteration cap, the statuses and the divergence rule. Every step records
+exactly one row, so the iteration count is the trace's length less the
+start row.
 """
 
 from __future__ import annotations
@@ -136,9 +140,7 @@ class SolverState:
     stream: SampleStream | None = None
     lip: LipschitzInfo | None = None
     phase: str = "sarc"
-    iteration: int = 0
     status: str = "running"
-    psd_violations: int = 0
     unmet_subproblems: int = 0  # subproblems that ended without meeting their condition
     y: np.ndarray | None = None
     grad_y: np.ndarray | None = None
@@ -152,6 +154,11 @@ class SolverState:
     @property
     def terminal(self) -> bool:
         return self.status != "running"
+
+    @property
+    def iteration(self) -> int:
+        """The steps taken: each records one row after the start row."""
+        return len(self.trace) - 1
 
 
 def _build(state: SolverState, model: LossModel, config: SolverConfig, point: np.ndarray):
@@ -192,10 +199,11 @@ def _subproblem(state: SolverState, config: SolverConfig, g: np.ndarray) -> Subp
     return sub
 
 
-def _record(state: SolverState, *, success: bool | None) -> TraceRecord:
+def _record(state: SolverState, *, success: bool | None) -> None:
+    """Append the state's row; its iteration is the trace's length so far."""
     two = state.phase == "two"
-    rec = TraceRecord(
-        iteration=state.iteration,
+    state.trace.append(TraceRecord(
+        iteration=len(state.trace),
         f=state.f,
         grad_norm=state.grad_norm,
         sigma=state.sigma,
@@ -208,9 +216,7 @@ def _record(state: SolverState, *, success: bool | None) -> TraceRecord:
         l=state.l if two else None,
         varsigma=state.seq.varsigma if two else None,
         t3=state.T3 if two else None,
-    )
-    state.trace.append(rec)
-    return rec
+    ))
 
 
 def _reject(state: SolverState, config: SolverConfig) -> SolverState:
@@ -266,10 +272,24 @@ def sarc_init(
     return state
 
 
-def _finite(x: np.ndarray) -> bool:
-    """Whether the loss can be evaluated at trial point x; every driver
-    rejects a step to a non-finite point like one that failed its test."""
-    return bool(np.all(np.isfinite(x)))
+def _trial(state: SolverState, model: LossModel,
+           config: SolverConfig) -> tuple[SubproblemResult, np.ndarray, float]:
+    """The subproblem at the iterate, its trial point x + s and f there; f is
+    inf, and not evaluated, where the trial point is not finite."""
+    sub = _subproblem(state, config, state.grad)
+    x = state.x + sub.s
+    return sub, x, full_value(model, x) if np.isfinite(x).all() else np.inf
+
+
+def _move(state: SolverState, model: LossModel, x: np.ndarray, f: float,
+          grad: np.ndarray | None = None) -> None:
+    """Move the iterate to x, where f is the value; the gradient there is
+    evaluated and charged one pass unless it is given."""
+    if grad is None:
+        grad = full_gradient(model, x)
+        state.ledger.add_gradient_pass()
+    state.x, state.f, state.grad = x, f, grad
+    state.grad_norm = float(np.linalg.norm(grad))
 
 
 def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> SolverState:
@@ -279,30 +299,15 @@ def sarc_step(state: SolverState, model: LossModel, config: SolverConfig) -> Sol
     if state.H is None:
         _build(state, model, config, state.x)
 
-    sub = _subproblem(state, config, state.grad)
-    x_trial = state.x + sub.s
-    finite = _finite(x_trial)
-    f_trial = full_value(model, x_trial) if finite else np.inf
+    sub, x_trial, f_trial = _trial(state, model, config)
     predicted = sub.model_decrease  # f(x) - m(s)
-
-    if not finite:
-        success = False
-    elif abs(predicted) < 1e-14 * abs(state.f):
+    if abs(predicted) < 1e-14 * abs(state.f):
         success = f_trial <= state.f  # division guard at noise level
-    elif predicted <= 0.0:
-        state.psd_violations += 1
-        success = False
     else:
-        success = (state.f - f_trial) / predicted >= config.eta
-
-    state.iteration += 1
+        success = predicted > 0.0 and (state.f - f_trial) / predicted >= config.eta
     if not success:
         return _reject(state, config)
-    state.x = x_trial
-    state.f = f_trial
-    state.grad = full_gradient(model, state.x)
-    state.ledger.add_gradient_pass()
-    state.grad_norm = float(np.linalg.norm(state.grad))
+    _move(state, model, x_trial, f_trial)
     state.eps_i = min(state.eps_i, (1.0 - config.kappa_theta) * state.grad_norm / 3.0)
     state.sigma = max(config.sigma_min, state.sigma / config.gamma1)
     if state.grad_norm <= config.grad_tol:
@@ -332,7 +337,6 @@ def run(state: SolverState, model: LossModel, config: SolverConfig,
             steps[state.phase](state, model, config)
         except SecularSolveError:
             # every step calls _subproblem before it changes the iterate
-            state.iteration += 1
             state.status = "subproblem_failed"
             _record(state, success=False)
         if not state.terminal and not abs(state.f) <= f_cap:

@@ -51,7 +51,7 @@ def dense_hessian(model: LossModel, x: np.ndarray, dense_cap: int = 400) -> np.n
 
 def unshifted_dense(op, dense_cap: int = 400) -> np.ndarray:
     """Explicit H~(x) of a SubsampledHessian, without its shift."""
-    d = op.model.d
+    d = op._A_S.shape[1]
     if d > dense_cap:
         raise ValueError(f"d={d} exceeds dense cap {dense_cap}")
     A_S = op._A_S.toarray()

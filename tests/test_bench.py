@@ -165,6 +165,13 @@ class TestSynthData:
             with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
                 bench.load_dataset(None, args)
         assert synth_logistic(np.int64(10), 3, np.uint8(1), 1.0).n == 10
+        # so is a skew or scale that is not finite and positive (nan fails
+        # `<= 0`, and inf overflowed into the data)
+        for skew, scale in ((np.nan, 1.0), (np.inf, 1.0), (0.0, 1.0),
+                            (1.0, np.nan), (1.0, np.inf), (1.0, -2.0)):
+            name, value = ("skew", skew) if skew != 1.0 else ("scale", scale)
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value}$"):
+                synth_logistic(10, 2, 0, skew, scale)
 
     def test_seed_bound_is_the_philox_key_width(self):
         with pytest.raises(ValueError, match=r"seed must be < 2\*\*128"):
@@ -456,15 +463,15 @@ class TestCliGrid:
         assert code == 0 and len(capsys.readouterr().out.splitlines()) == 4
         assert calls == [(None, (200, 4, 0, 1.0))]
 
-    def test_cubic_rows_carry_psd_and_unmet_counts(self, tmp_path, capsys):
+    def test_cubic_rows_carry_unmet_counts(self, tmp_path, capsys):
         out = str(tmp_path / "{algo}.csv")
         code = cli.main(["run", "--algo", "sarc,cr,sgd", "--synth", "200,4,0,1", "--x0-std", "1",
                          "--max-iters", "30", "--out", out])
         rows = capsys.readouterr().out.splitlines()
         assert code in (0, 2) and len(rows) == 3
         for row in rows[:2]:
-            assert " psd_violations=0 unmet=0 out=" in row
-        assert "psd_violations" not in rows[2] and "unmet" not in rows[2]
+            assert " grad_norm=" in row and " unmet=0 out=" in row
+        assert " unmet=" not in rows[2]
 
     def test_failed_secular_solve_is_a_named_status(self, tmp_path, capsys, monkeypatch):
         def fail(*args):
@@ -529,8 +536,9 @@ class TestCliGrid:
 
     @pytest.mark.parametrize("source, message", [
         (("--synth", "0,3,0,1"), "need n, d >= 1"),
-        (("--synth", "50,3,0,nan"), "dataset contains non-finite entries"),
+        (("--synth", "50,3,0,nan"), "skew must be finite and > 0, got nan"),
         (("--data", "missing.txt"), "No such file or directory: 'missing.txt'"),
+        (("--synth", "10,2,0,inf"), "skew must be finite and > 0, got inf"),
     ])
     def test_bad_dataset_is_one_usage_error_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                            source, message):

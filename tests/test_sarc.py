@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from sarc import cubic, sarc_driver
 from sarc.accounting import EpochLedger
 from sarc.data import synth_logistic
-from sarc.problems import Dataset, LossModel
+from sarc.problems import Dataset, LossModel, full_value
 from sarc.saarc_driver import phase1_step, saarc_run
 from sarc.sarc_driver import SolverConfig, sarc_init, sarc_run, sarc_step
 
@@ -58,10 +58,32 @@ class TestSingleStep:
         assert state.sigma == 2.0 * cfg.sigma0
         assert np.array_equal(state.x, x0) and state.f == f0
         assert state.ledger.epochs == epochs0 and state.H is H0
-        assert state.psd_violations == 0
 
         sarc_step(state, model, cfg)  # the next, finite step proceeds as usual
         assert state.trace[-1].success is True
+
+    def test_step_whose_model_predicts_no_decrease_is_rejected(self, monkeypatch):
+        # an uphill step whose model predicts exactly the rise it makes has
+        # achieved/predicted = 1, but a model that predicts no decrease fails
+        model = LossModel("reg_logistic", 1e-3, synth_logistic(200, 4, 0, 1.0), reg_scale=0.5)
+        cfg = SolverConfig(gamma1=2.0, max_iters=5)
+        state = sarc_init(model, cfg, np.ones(4))
+        x0, f0, epochs0, H0 = state.x.copy(), state.f, state.ledger.epochs, state.H
+        real = sarc_driver.minimize_model
+        rises = []
+
+        def uphill(*args, **kwargs):
+            res = real(*args, **kwargs)
+            rises.append(full_value(model, x0 - res.s) - f0)
+            return dataclasses.replace(res, s=-res.s, model_decrease=-rises[-1])
+
+        monkeypatch.setattr(sarc_driver, "minimize_model", uphill)
+        sarc_step(state, model, cfg)
+        assert rises[0] > 1e-6 * abs(f0)  # far outside the 1e-14 |f| noise band
+        assert state.trace[-1].success is False
+        assert state.sigma == 2.0 * cfg.sigma0
+        assert np.array_equal(state.x, x0) and state.f == f0
+        assert state.ledger.epochs == epochs0 and state.H is H0
 
     def test_unmet_subproblem_is_counted_and_its_step_taken(self, monkeypatch):
         model = _half_norm_squared_model()
