@@ -70,10 +70,16 @@ class RunSpec:
 
 def load_dataset(data_path: str | None, synth: tuple | None) -> Dataset:
     """The LIBSVM file at `data_path`, else the synthetic data `synth` =
-    (n, d, seed, skew) describes."""
+    (n, d, seed, skew) describes. Rows whose squared norm overflows, which
+    would leave no finite Lipschitz bound, are rejected here."""
     if data_path is not None:
-        return parse_libsvm(data_path)
-    return synth_logistic(*synth)  # no casts: a 1.5 seed must not read as 1
+        dataset = parse_libsvm(data_path)
+    else:
+        dataset = synth_logistic(*synth)  # no casts: a 1.5 seed must not read as 1
+    big = np.flatnonzero(~np.isfinite(dataset.row_sq_norms()))
+    if big.size:
+        raise ValueError(f"the squared norm of row {big[0]} overflows")
+    return dataset
 
 
 def build_model(dataset: Dataset, lam: float) -> LossModel:

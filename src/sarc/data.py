@@ -123,10 +123,13 @@ def synth_logistic(
         if not 0.0 < value < math.inf:  # nan fails too
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    A = scale * rng.standard_normal((n, d))
-    A[0] *= skew
-    w = rng.standard_normal(d) / np.sqrt(d)
-    margins = A @ w
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        A = scale * rng.standard_normal((n, d))
+        A[0] *= skew
+        w = rng.standard_normal(d) / np.sqrt(d)
+        margins = A @ w
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(margins))):
+        raise ValueError(f"skew={skew} and scale={scale} overflow the data")
     b = np.where(margins >= 0.0, 1.0, -1.0)
     flips = rng.random(n) < 0.1
     b[flips] *= -1.0

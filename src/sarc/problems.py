@@ -64,6 +64,19 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _neg_product(b, t) -> np.ndarray:
+    """-(b t) in one new array: bit for bit (-b) * t, since IEEE products are
+    sign-symmetric, without the throwaway array -b."""
+    z = np.asarray(b * t)
+    return np.negative(z, out=z)
+
+
+def _logistic_link(t, b) -> np.ndarray:
+    """expit(-b t), computed in place in the one array -(b t)."""
+    z = _neg_product(b, t)
+    return expit(z, out=z)
+
+
 GLM_FAMILIES = {
     "ridge_least_squares": GlmFamily(
         link=lambda t, b: t,
@@ -76,9 +89,9 @@ GLM_FAMILIES = {
         # fhat = ln(1+exp(-b t)) = softplus(-b t), evaluated without overflow;
         # fhat'' = b^2 s(1-s) with s = sigmoid(-b t), and b^2 = 1 exactly for
         # the labels LossModel admits
-        link=lambda t, b: expit(-b * t),
-        value=lambda t, b, s: _softplus(-b * t),
-        slope=lambda t, b, s: -b * s,
+        link=_logistic_link,
+        value=lambda t, b, s: _softplus(_neg_product(b, t)),
+        slope=lambda t, b, s: _neg_product(b, s),
         curvature=lambda t, b, s: s * (1.0 - s),
         curvature_range=(0.0, 0.25),
     ),
@@ -112,11 +125,50 @@ class DegenerateCurvatureError(ValueError):
     """All component curvatures vanish; Definition-style weights are undefined."""
 
 
+@dataclass(frozen=True, eq=False)
+class ProductPair:
+    """A v and A^T u over a block of the data's rows, in the layout each
+    product streams.
+
+    Dense rows are a column-major `M` and `MT` is None: A v is BLAS dgemv_n,
+    which splits rows across threads without changing a sum, and A^T u is
+    numpy's einsum loop, as every BLAS form of it rounds differently at
+    different thread counts. Sparse rows are CSR beside A^T in `MT`: a CSR
+    copy for the whole matrix, whose gather has the bits of the CSC scatter
+    `M.T @ u` in less time, or the free view `M.T` for sampled rows.
+    """
+
+    M: np.ndarray | sp.csr_matrix
+    MT: sp.spmatrix | None = None
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.M @ v
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        if self.MT is None:
+            return np.einsum("ij,i->j", self.M, u)
+        return self.MT @ u
+
+    def rows(self, idx: np.ndarray) -> "ProductPair":
+        """The pair over the rows `idx`, copied out of this one."""
+        if self.MT is None:
+            # column by column: M[idx] comes out row-major, and reordering it
+            # would hold two copies of the block at once
+            block = np.empty((len(idx), self.M.shape[1]), order="F")
+            for j, column in enumerate(self.M.T):
+                np.take(column, idx, out=block[:, j])
+            return ProductPair(block)
+        sub = self.M[idx]
+        return ProductPair(sub, sub.T)
+
+
 @dataclass
 class Dataset:
-    """Sparse row-major observations (a_i, b_i).
+    """Observations (a_i, b_i): A is stored as CSR with sorted indices.
 
-    A is CSR with sorted indices so row dot products are O(nnz).
+    Products with A go through `products()`, built on first use: dense data
+    is read column-major and sparse data as CSR beside a CSR copy of A^T, so
+    a pass costs O(n d) or O(nnz) in the layout each product streams.
     """
 
     A: sp.csr_matrix
@@ -149,6 +201,16 @@ class Dataset:
         if not hasattr(self, "_row_sq"):
             self._row_sq = np.asarray(self.A.multiply(self.A).sum(axis=1)).ravel()
         return self._row_sq
+
+    def products(self) -> ProductPair:
+        """The pair A v, A^T u. A CSR that stores at least 2/3 of the n d
+        entries is read as a column-major copy, which is then no larger."""
+        if not hasattr(self, "_products"):
+            if 3 * self.A.nnz >= 2 * self.n * self.d:
+                self._products = ProductPair(self.A.toarray(order="F"))
+            else:
+                self._products = ProductPair(self.A, self.A.T.tocsr())
+        return self._products
 
     @classmethod
     def from_dense(cls, A, b) -> "Dataset":
@@ -234,7 +296,7 @@ class LossModel:
         key = x.tobytes()
         p = self._point
         if p is None or p.key != key:
-            t = _readonly(self.dataset.A @ x)
+            t = _readonly(self.dataset.products().matvec(x))
             link = _readonly(GLM_FAMILIES[self.family].link(t, self.dataset.b))
             p = self._point = PointEval(key, t, link)
         return p
@@ -268,18 +330,18 @@ def full_value(model: LossModel, x: np.ndarray) -> float:
     return float(np.mean(fam.value(p.t, model.dataset.b, p.link)) + reg + model.linear @ x)
 
 
-def _mean_gradient(model: LossModel, x: np.ndarray, A, b: np.ndarray,
+def _mean_gradient(model: LossModel, x: np.ndarray, rows: ProductPair, b: np.ndarray,
                    t: np.ndarray, link: np.ndarray) -> np.ndarray:
     """Mean of the component gradients over the rows (A, b) at margins t = A x."""
     w = GLM_FAMILIES[model.family].slope(t, b, link)
-    return (A.T @ w) / A.shape[0] + model.reg_curvature() * x + model.linear
+    return rows.rmatvec(w) / b.shape[0] + model.reg_curvature() * x + model.linear
 
 
 def full_gradient(model: LossModel, x: np.ndarray) -> np.ndarray:
     """Exact gradient of f (gradients are never sub-sampled)."""
     x = _check_point(model, x)
     p = model.at(x)
-    return _mean_gradient(model, x, model.dataset.A, model.dataset.b, p.t, p.link)
+    return _mean_gradient(model, x, model.dataset.products(), model.dataset.b, p.t, p.link)
 
 
 def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -291,10 +353,10 @@ def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.n
         raise ValueError("batch must be non-empty")
     if indices.min() < 0 or indices.max() >= model.n:
         raise IndexError("batch index out of range")
-    A, b = model.dataset.A[indices], model.dataset.b[indices]
-    t = A @ x
+    rows, b = model.dataset.products().rows(indices), model.dataset.b[indices]
+    t = rows.matvec(x)
     link = GLM_FAMILIES[model.family].link(t, b)
-    return _mean_gradient(model, x, A, b, t, link)
+    return _mean_gradient(model, x, rows, b, t, link)
 
 
 @dataclass

@@ -173,7 +173,8 @@ class SubsampledHessian:
     epoch ledger charges); applying the operator afterwards reuses them and
     queries nothing new. Component Hessians are never materialized. Margins
     and link values come from the model's point cache; an exact build also
-    takes the cached curvature vector and applies A itself, without a copy.
+    takes the cached curvature vector and the dataset's product pair, without
+    a copy; a sampled build copies its rows out of that pair.
     """
 
     def __init__(self, model: LossModel, x: np.ndarray, plan: SamplingPlan,
@@ -186,7 +187,7 @@ class SubsampledHessian:
         if plan.exact:
             idx = np.arange(n)
             w = np.full(n, 1.0 / n)
-            self._A_S = model.dataset.A
+            self._rows = model.dataset.products()
             curv = curvature_vector(model, x)
         else:
             if stream is None:
@@ -195,7 +196,7 @@ class SubsampledHessian:
             idx = np.flatnonzero(counts)
             pj = 1.0 / n if plan.probabilities is None else plan.probabilities[idx]
             w = counts[idx] / (n * plan.size * pj)
-            self._A_S = model.dataset.A[idx]
+            self._rows = model.dataset.products().rows(idx)
             p = model.at(x)
             b = model.dataset.b[idx]
             curv = GLM_FAMILIES[model.family].curvature(p.t[idx], b, p.link[idx])
@@ -206,6 +207,6 @@ class SubsampledHessian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float).ravel()
-        out = self._A_S.T @ (self._coeffs * (self._A_S @ v))
+        out = self._rows.rmatvec(self._coeffs * self._rows.matvec(v))
         out += (self._diag + self.shift) * v
         return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from sarc.problems import GLM_FAMILIES, Dataset, LossModel, curvature_vector
@@ -51,10 +52,11 @@ def dense_hessian(model: LossModel, x: np.ndarray, dense_cap: int = 400) -> np.n
 
 def unshifted_dense(op, dense_cap: int = 400) -> np.ndarray:
     """Explicit H~(x) of a SubsampledHessian, without its shift."""
-    d = op._A_S.shape[1]
+    M = op._rows.M
+    d = M.shape[1]
     if d > dense_cap:
         raise ValueError(f"d={d} exceeds dense cap {dense_cap}")
-    A_S = op._A_S.toarray()
+    A_S = M.toarray() if sp.issparse(M) else M
     H = A_S.T @ (op._coeffs[:, None] * A_S) + op._diag * np.eye(d)
     return 0.5 * (H + H.T)
 

@@ -1,6 +1,7 @@
 import inspect
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,17 @@ class TestSynthData:
             name, value = ("skew", skew) if skew != 1.0 else ("scale", scale)
             with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value}$"):
                 synth_logistic(10, 2, 0, skew, scale)
+
+    def test_skew_and_scale_that_overflow_are_rejected_by_name(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"^skew=1e\+200 and scale=1e\+200 overflow the data$"):
+                synth_logistic(10, 2, 0, 1e200, 1e200)
+            # finite entries whose squared row norm overflows: no Lipschitz bound
+            assert synth_logistic(10, 2, 0, 1e300).n == 10
+            with pytest.raises(ValueError, match="^the squared norm of row 0 overflows$"):
+                bench.load_dataset(None, (10, 2, 0, 1e300))
 
     def test_seed_bound_is_the_philox_key_width(self):
         with pytest.raises(ValueError, match=r"seed must be < 2\*\*128"):
@@ -539,6 +551,8 @@ class TestCliGrid:
         (("--synth", "50,3,0,nan"), "skew must be finite and > 0, got nan"),
         (("--data", "missing.txt"), "No such file or directory: 'missing.txt'"),
         (("--synth", "10,2,0,inf"), "skew must be finite and > 0, got inf"),
+        (("--synth", "10,2,0,1.7e308"), "skew=1.7e+308 and scale=1.0 overflow the data"),
+        (("--synth", "10,2,0,1e300"), "the squared norm of row 0 overflows"),
     ])
     def test_bad_dataset_is_one_usage_error_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                            source, message):

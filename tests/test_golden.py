@@ -14,6 +14,12 @@ differ from the C library's math.exp, math.log1p and math.tanh in the last
 bit on about 5 %, 8 % and 27 % of uniform inputs, so a CPU without the same
 dispatch can move the CSV digests by rounding alone.
 
+The specs on synth_logistic data (all but criterion_8_pca) are dense, so A
+is read column-major (`Dataset.products`): their digests also assume
+OpenBLAS's dgemv kernel for A v and numpy's einsum loop for A^T u. Another
+OpenBLAS version or core type may order dgemv's sums differently; CI logs
+both with numpy.show_runtime().
+
     python tests/test_golden.py   # prints the current digests as JSON
 """
 
@@ -88,84 +94,84 @@ SPECS["criterion_8_pca"] = _criterion_8_pca
 
 GOLDEN = {
     "bench_sarc": [
-        "877fc5b60ecfe9cc092a93cbfd05ef9b22531946745f15da94853a4585fbe5ee",
+        "32b490ab91ddd4fef00062c5c93bb2c6ce70e4fd62505a6d6b2533983e9907d7",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_saarc": [
-        "1b75a736afbd37e0df7f48f94a4fb0641ba2d8e2d6b17db1f02d4b05e3fd561d",
+        "b83014e54bda9eae7b27652eb54b446976d051505545afca098473046399c8a1",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_sacr": [
-        "362cf99fde51e0eeaf7a1027f641efd5e5c76a06f00d08ac3a1c69e658beb46d",
+        "1feb9e51a1271e45b631d112a38130b6416eeeaf46e9aaa1854e0999d88e91a8",
         "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
     ],
     "bench_cr": [
-        "76f9d25334ba732feed304d2b81d74c346127dce984fc5592f83263b08a3140a",
+        "71f1efd4b8c1d05d64756598462d48e18a5dd923f68660166e1a3eca4000e649",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_acr": [
-        "2eb15c88c3929bfe19293544f6950ddd5e09d8ae781b00892b80a021d984a5dd",
+        "703fb4d5a333801053a14520b42ba25ac56a85400af4394ab813390c10e1df29",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_agd": [
-        "e927ee0170915fecffb0d7ce53d7b824a12deaf3ea51fa329758f5eed0a6034c",
+        "e2fd0d77aed62432be5ec34443a7b6ffcbe294d2105457193b7f3af22430fb16",
         "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
     ],
     "bench_sgd": [
-        "0fcb8008011083a038779f9d5ad1eaf06d87f06b49efe95723920ec6fb9a87a6",
+        "63e0c52ed48c5a34ada62a88393ea9d698def0041dfa594ce5634f37f9b71889",
         "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
     ],
     "bench_lbfgs": [
-        "1f6fadf59be80f48f3849d24d38eb13cff1f7533d3dfbec0cc2bf90d8acf7d1c",
+        "dae87d4e807a83ceb0f8c0f05d28ee78d49ca390caa5d6b8a9a1f9e071d3c520",
         "36fe2eb7a4ea81851c6cdbb29a5413093882c25b643b4e9cb6943963e7602689",
     ],
     "sampled_sarc_uniform": [
-        "7fcee72ad3093d8e0ecaceccef87437b3f4a0c8c7628567b1312b08ab5adc692",
+        "44c10f68744f8c8c60e6ccb240be752337c337264f86e4fca1f0723efae17081",
         "33b5743e4952ff74f7462e9b1715c058df9e07583db110110c0cc3f4f8dcf33c",
     ],
     "sampled_sarc_nonuniform": [
-        "197ce55834a196663132ff04d813a1f102e5097b7f157fff7406ccffcc42afd0",
+        "ee18e1460dafa7d3a34b3365399760864c5bcdaa899b085c705d8ea2fa164d48",
         "23bd934248a4259b9b875ec586e917ddfd541a45f64a8f24be0727796e3660ad",
     ],
     "sampled_saarc_uniform": [
-        "b230b9f5de695ebb41ba003bb101fa2f5e4a273ba4fb9de88ac4254ade2289df",
+        "031108a1bf90b356b5edcfbf6a6673dc4249c92b9d1353147af396c6fa9fdaed",
         "6ff7225e04736795f573075b38603af4ea3684b023ff75f79faa878785013f65",
     ],
     "sampled_saarc_nonuniform": [
-        "239df0cc2284b2f271f2d0c5f46ecf54e21b67991e5167dfba1b94467ac68f59",
+        "8a86f49f8137897ebfb379634754a9292b9519ef24ae203b18a5ee19339230ca",
         "7a070287af7f6575000a2fa410a77c29323089002c60ccd4a3b5961d49df73de",
     ],
     "sampled_sacr_uniform": [
-        "5899676102f49998cdee5bb652b6ab5f70a3479bcf4e0304392ea73ac5499d55",
+        "4d92a1acf10d028e2212c9487503574f6df2f94fc5365f2bae73c25ba13a5312",
         "bf73214b8d21d6bb612ff3ba80bed1e867dcdb1f4ab42318d3159e06c9de117d",
     ],
     "sampled_sacr_nonuniform": [
-        "f7bf7f1e4a38db42727ef74554bf41032c39c9749abb2106e3a43ff2e7478802",
+        "b4026d73091bbc665d737e1905a5ae656d6faadc916280a6067cfadd39ac5e6e",
         "ffe8a5a0de04473f32d39f6c273ba4aa01bb9e166705620bcc831c37b3bf8cde",
     ],
     "bench_sarc_nonuniform": [
-        "877fc5b60ecfe9cc092a93cbfd05ef9b22531946745f15da94853a4585fbe5ee",
+        "32b490ab91ddd4fef00062c5c93bb2c6ce70e4fd62505a6d6b2533983e9907d7",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_saarc_nonuniform": [
-        "1b75a736afbd37e0df7f48f94a4fb0641ba2d8e2d6b17db1f02d4b05e3fd561d",
+        "b83014e54bda9eae7b27652eb54b446976d051505545afca098473046399c8a1",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_sacr_nonuniform": [
-        "362cf99fde51e0eeaf7a1027f641efd5e5c76a06f00d08ac3a1c69e658beb46d",
+        "1feb9e51a1271e45b631d112a38130b6416eeeaf46e9aaa1854e0999d88e91a8",
         "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
     ],
     "family_svm_sarc_uniform": [
-        "2bcb7e80b3d4dafa4d977362b72deab6016cf1c2e588a39ddcfd037e139b9b0f",
+        "20813cd4916ed95d010878f716d45700cdaa5f6416fd148442399d1629555977",
         "94b71a1763c3efac61ca8f76f10df6d9d5590dd6b4e96f1362ebba7116266790",
     ],
     "family_svm_saarc_nonuniform": [
-        "ed90643e3fccee1dc4de1ddc884a7eed0964a017dc36de852180ec26e2b50e7e",
+        "e9fb173b86cbc67d88d68fdb9af898b215694a9e2b4c2b81e634cb9a55df9176",
         "131916e091dce5ad72c0df2b8085f7530d196dcc9dfa5a5304206860082471c1",
     ],
     "family_ridge_sacr_nonuniform": [
-        "f554a2fb9e13b205c7a32d16264955124c0d19cea8d045147638e9d2c8d04827",
-        "9e9599361e36ddccba5f0bf1c92e3afa32f7ca6989a5478517d4b123feb54790",
+        "747f341a6496ddb675b1c6f20eb5977da89cbb8444b97148bc5e02a254058ce0",
+        "2704bc755cad8e2947ab6384ef95bca570af73e3d7c10755744531de17d3fb48",
     ],
     "criterion_8_pca": [
         "387dc25b585ba168b49aedf20c4883f21f6897fed3faf0712737baec8439de37",

@@ -1,13 +1,24 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from sarc.problems import (
     GLM_FAMILIES,
     Dataset,
     LossModel,
+    ProductPair,
     batch_gradient,
     curvature_vector,
     full_gradient,
@@ -176,6 +187,17 @@ class TestLogisticMaps:
             if exact >= Decimal(np.finfo(float).tiny):
                 assert abs(Decimal(float(v)) - exact) <= Decimal(np.spacing(float(exact))), z
 
+    def test_link_is_expit_of_minus_b_t_bit_for_bit(self):
+        # -(b t) equals (-b) t bit for bit: IEEE products are sign-symmetric
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [0.0, -0.0, 700.0, -700.0, tiny, -tiny, 7 * tiny, -1e-310, 1e-310,
+                 745.0, -745.0, 1e300, -1e300]
+        rng = np.random.default_rng(13)
+        t = np.concatenate([edges, rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000)])
+        for b in (rng.choice([-1.0, 1.0], t.size), rng.choice([0.5, -3.0, -0.0], t.size)):
+            assert self.LOGISTIC.link(t, b).tobytes() == expit(-b * t).tobytes()
+        assert self.LOGISTIC.link(0.5, -1.0) == expit(0.5)  # scalars too
+
     def test_curvature_is_the_general_formula_bit_for_bit(self):
         rng = np.random.default_rng(12)
         b = rng.choice([-1.0, 1.0], 4000)
@@ -314,3 +336,100 @@ class TestPointCache:
         model, x = random_glm_instance(rng, "reg_logistic", n=20, d=3)
         batch_gradient(model, x, np.arange(5))
         assert model._point is None
+
+
+_ENTRY = (st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _csr_and_vectors(draw):
+    """A CSR matrix up to 30 x 8 with empty rows and explicit zeros, at a
+    density drawn on either side of 2/3, and vectors to multiply it with."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.65, 0.7, 0.9, 1.0]))
+    keep = draw(hnp.arrays(float, (n, d), elements=st.floats(0.0, 1.0))) < density
+    keep[draw(hnp.arrays(bool, n))] = False  # empty rows
+    rows, cols = np.nonzero(keep)
+    values = draw(hnp.arrays(float, rows.size, elements=_ENTRY))  # zeros stay stored
+    A = sp.csr_matrix((values, (rows, cols)), shape=(n, d))
+    v = draw(hnp.arrays(float, d, elements=_ENTRY))
+    u = draw(hnp.arrays(float, n, elements=_ENTRY))
+    idx = draw(hnp.arrays(np.intp, draw(st.integers(1, 40)), elements=st.integers(0, n - 1)))
+    return A, v, u, idx
+
+
+class TestProductPair:
+    """Both layouts of A's product pair compute A v and A^T u, and sparse data
+    keeps the bits of the CSR products it replaces."""
+
+    @settings(max_examples=150)
+    @given(_csr_and_vectors())
+    def test_layouts_agree_with_csr_products(self, case):
+        A, v, u, idx = case
+        n, d = A.shape
+        pair = Dataset(A, np.ones(n)).products()
+        assert isinstance(pair.M, np.ndarray) == (3 * A.nnz >= 2 * n * d)
+        norm = np.linalg.norm(A.toarray())
+        dense, sparse = ProductPair(A.toarray(order="F")), ProductPair(A, A.T.tocsr())
+        for layout in (pair, dense, sparse):
+            for block, rows in ((layout, A), (layout.rows(idx), A[idx])):
+                ub = np.resize(u, rows.shape[0])
+                assert np.all(np.abs(block.matvec(v) - rows @ v)
+                              <= 1e-13 * norm * np.linalg.norm(v))
+                assert np.all(np.abs(block.rmatvec(ub) - rows.T @ ub)
+                              <= 1e-13 * norm * np.linalg.norm(ub))
+        assert sparse.rmatvec(u).tobytes() == (A.T @ u).tobytes()
+        assert sparse.matvec(v).tobytes() == (A @ v).tobytes()
+        sub = sparse.rows(idx)
+        ub = np.resize(u, idx.size)
+        assert sub.rmatvec(ub).tobytes() == (A[idx].T @ ub).tobytes()
+
+    def test_dense_rows_stay_column_major(self):
+        pair = Dataset.from_dense(np.arange(12.0).reshape(4, 3) + 1.0, np.ones(4)).products()
+        block = pair.rows(np.array([3, 0, 3]))
+        assert pair.M.flags.f_contiguous and block.M.flags.f_contiguous
+        assert np.array_equal(block.M, [[10.0, 11.0, 12.0], [1.0, 2.0, 3.0], [10.0, 11.0, 12.0]])
+
+    def test_pair_is_built_once_and_not_at_setup(self):
+        ds = Dataset.from_dense(np.ones((5, 2)), np.ones(5))
+        assert not hasattr(ds, "_products")
+        assert ds.products() is ds.products()
+
+
+# Products and a sampled saarc trace on dense data above OpenBLAS's threading
+# threshold, printed as digests; the test runs it at 1 and 2 BLAS threads.
+_THREADS_PROBE = """
+import hashlib, json
+import numpy as np
+from sarc.bench import trace_rows
+from sarc.data import synth_logistic
+from sarc.problems import LossModel
+from sarc.saarc_driver import saarc_run
+from sarc.sarc_driver import SolverConfig
+
+ds = synth_logistic(50_000, 10, 3, 1.0, scale=0.25)
+pair = ds.products()
+rng = np.random.default_rng(4)
+v, u = rng.standard_normal(10), rng.standard_normal(50_000)
+block = pair.rows(np.flatnonzero(rng.random(50_000) < 0.4))
+model = LossModel("reg_logistic", 1e-4, ds, reg_scale=0.5)
+config = SolverConfig(grad_tol=1e-5, max_iters=40, scheme="nonuniform", seed=1)
+trace = saarc_run(model, config, np.random.default_rng(1).standard_normal(10)).trace
+rows = [list(trace_rows(trace)), [(r.phase, r.l, r.varsigma, r.t3) for r in trace]]
+out = {"matvec": pair.matvec(v), "rmatvec": pair.rmatvec(u),
+       "rows.matvec": block.matvec(v), "rows.rmatvec": block.rmatvec(u[:block.M.shape[0]]),
+       "trace": repr(rows).encode()}
+print(json.dumps({k: hashlib.sha256(bytes(x)).hexdigest() for k, x in out.items()}))
+"""
+
+
+def test_dense_products_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(json.loads(proc.stdout))
+    assert digests[0] == digests[1]

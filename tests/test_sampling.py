@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -428,7 +429,7 @@ class TestWeightsUnbiased:
 
 class TestHessianBuildCache:
     """Builds read margins, link values and (exact mode) curvature from the
-    model's point cache and apply A itself in exact mode."""
+    model's point cache and apply the dataset's product pair in exact mode."""
 
     BUILDS = [("reg_logistic", "uniform", 15), ("reg_logistic", "nonuniform", 15),
               ("reg_logistic", "uniform", None), ("nonconvex_svm", "nonuniform", 15),
@@ -462,14 +463,33 @@ class TestHessianBuildCache:
         for v in np.random.default_rng(22).standard_normal((3, model.d)):
             assert np.array_equal(warm.matvec(v), cold.matvec(v))
 
-    @pytest.mark.parametrize("family", ["reg_logistic", "pca_quadratic"])
-    def test_exact_build_shares_A(self, family):
+    @pytest.mark.parametrize("family,sparse", [
+        pytest.param("reg_logistic", False, id="reg_logistic"),
+        pytest.param("pca_quadratic", False, id="pca_quadratic"),
+        pytest.param("reg_logistic", True, id="reg_logistic-sparse")])
+    def test_exact_build_shares_A(self, family, sparse):
         model, x = self._instance(family)
+        if sparse:  # below 2/3 density the pair keeps the CSR itself
+            A = model.dataset.A.toarray()
+            A[np.random.default_rng(23).random(A.shape) < 0.6] = 0.0
+            model = LossModel(family, model.lam, Dataset.from_dense(A, model.dataset.b),
+                              model.reg_scale, model.linear)
+        cached = model.dataset.products()
+        assert sp.issparse(cached.M) == sparse
+
+        def buffer(M):
+            return M.data if sp.issparse(M) else M
+
         exact = SubsampledHessian(model, x, self._plan(model, x, "uniform", None), shift=0.0)
-        assert np.shares_memory(exact._A_S.data, model.dataset.A.data)
+        assert exact._rows is cached
+        assert np.shares_memory(buffer(exact._rows.M), buffer(cached.M))
+        if sparse:
+            assert np.shares_memory(cached.M.data, model.dataset.A.data)
         sampled = SubsampledHessian(model, x, self._plan(model, x, "uniform", 15),
                                     SampleStream(0), shift=0.0)
-        assert not np.shares_memory(sampled._A_S.data, model.dataset.A.data)
+        assert sampled._rows is not cached
+        assert not np.shares_memory(buffer(sampled._rows.M), buffer(cached.M))
+        assert not np.shares_memory(buffer(sampled._rows.M), model.dataset.A.data)
 
     def test_uniform_sampled_build_computes_no_curvature_vector(self):
         model, x = self._instance("reg_logistic")
