@@ -125,29 +125,65 @@ class DegenerateCurvatureError(ValueError):
     """All component curvatures vanish; Definition-style weights are undefined."""
 
 
+# Rows per block of a dense product. OpenBLAS runs ddot on one thread up to
+# 10,000 entries, and its threads split a dgemv over a multiple of 8 rows
+# where one thread rounds the same, so the products have the same bits at 1
+# to 4 BLAS threads.
+BLOCK_ROWS = 8192
+
+
 @dataclass(frozen=True, eq=False)
 class ProductPair:
     """A v and A^T u over a block of the data's rows, in the layout each
     product streams.
 
-    Dense rows are a column-major `M` and `MT` is None: A v is BLAS dgemv_n,
-    which splits rows across threads without changing a sum, and A^T u is
-    numpy's einsum loop, as every BLAS form of it rounds differently at
-    different thread counts. Sparse rows are CSR beside A^T in `MT`: a CSR
-    copy for the whole matrix, whose gather has the bits of the CSC scatter
-    `M.T @ u` in less time, or the free view `M.T` for sampled rows.
+    Dense rows are a column-major `M` and `MT` is None. Every product reads
+    them in the same fixed blocks (`_blocks`): A v is BLAS dgemv per block, and
+    A^T u sums one ddot per column and block (numpy's vecdot), block after
+    block in row order. Sparse rows are CSR beside A^T in `MT`: a CSR copy
+    for the whole matrix, whose gather has the bits of the CSC scatter
+    `M.T @ u` in less time, or the free view `M.T` for sampled rows; they are
+    read whole.
     """
 
     M: np.ndarray | sp.csr_matrix
     MT: sp.spmatrix | None = None
 
+    def _blocks(self):
+        """(rows, A[rows]) for each dense block, in row order: BLOCK_ROWS
+        rows each, up to a multiple of 8, then the last n % 8 rows."""
+        n = self.M.shape[0]
+        starts = [*range(0, n - n % 8, BLOCK_ROWS), n - n % 8, n]
+        for lo, hi in zip(starts, starts[1:]):
+            if hi > lo:
+                yield slice(lo, hi), self.M[lo:hi]
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.M @ v
+        if self.MT is not None:
+            return self.M @ v
+        out = np.empty(self.M.shape[0])
+        for rows, block in self._blocks():
+            out[rows] = block @ v
+        return out
+
+    def fold(self, row_map: Callable) -> np.ndarray:
+        """A^T w, where w over each block's rows is row_map(rows, A[rows]).
+
+        A row_map that multiplies by the block too reads it while it is still
+        in cache, so A is read once for both products."""
+        if self.MT is not None:
+            return self.MT @ row_map(slice(None), self.M)
+        out = np.zeros(self.M.shape[1])
+        for rows, block in self._blocks():
+            out += np.vecdot(block.T, row_map(rows, block))
+        return out
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        if self.MT is None:
-            return np.einsum("ij,i->j", self.M, u)
-        return self.MT @ u
+        return self.fold(lambda rows, block: u[rows])
+
+    def hvp(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A^T (c * A v), bit for bit rmatvec(c * matvec(v))."""
+        return self.fold(lambda rows, block: c[rows] * (block @ v))
 
     def rows(self, idx: np.ndarray) -> "ProductPair":
         """The pair over the rows `idx`, copied out of this one."""
@@ -225,12 +261,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class PointEval:
     """Margins t = A x, the family's link value and, once asked for, the
-    curvature fhat''(t) at one point; all read-only."""
+    curvature fhat''(t) and the data-term gradient A^T fhat'(t) / n at one
+    point; all read-only."""
 
     key: bytes  # x.tobytes() of the point
     t: np.ndarray
     link: np.ndarray
     curvature: np.ndarray | None = None
+    data_gradient: np.ndarray | None = None
 
 
 @dataclass
@@ -242,7 +280,9 @@ class LossModel:
     mu I - a_j a_j^T (mu >= lambda_max of the covariance is not verified).
     `linear` is the vector c of the linear term c^T x (defaults to 0).
     The last point's margins and link value are cached (`at`), so the value,
-    gradient, curvature sweep and Hessian build at one point read A once.
+    gradient, curvature sweep and Hessian build at one point read A once for
+    the margins and once more for the gradient, in one sweep when the
+    gradient is asked for first.
     """
 
     family: str
@@ -287,19 +327,42 @@ class LossModel:
         """Hessian contribution of the per-component regularizer (a multiple of I)."""
         return 2.0 * self.reg_scale * self.lam
 
-    def at(self, x: np.ndarray) -> PointEval:
-        """Margins and link value at a checked point x, from a one-entry cache.
+    def at(self, x: np.ndarray, gradient: bool = False) -> PointEval:
+        """Margins and link value at a checked point x, and the data-term
+        gradient if asked for, from a one-entry cache.
 
         The key is a copy of x's bytes, so editing the caller's array in place
-        afterwards can never produce a stale hit.
+        afterwards can never produce a stale hit. A value or curvature query
+        at a new point forms no gradient: rejected trial points never need it.
         """
         key = x.tobytes()
         p = self._point
+        fam, b, pair = GLM_FAMILIES[self.family], self.dataset.b, self.dataset.products()
         if p is None or p.key != key:
-            t = _readonly(self.dataset.products().matvec(x))
-            link = _readonly(GLM_FAMILIES[self.family].link(t, self.dataset.b))
-            p = self._point = PointEval(key, t, link)
+            if gradient:
+                t, link, g = _gradient_sweep(fam, pair, b, x)
+                p = PointEval(key, _readonly(t), _readonly(link), data_gradient=_readonly(g))
+            else:
+                t = _readonly(pair.matvec(x))
+                p = PointEval(key, t, _readonly(fam.link(t, b)))
+            self._point = p
+        elif gradient and p.data_gradient is None:
+            p.data_gradient = _readonly(pair.rmatvec(fam.slope(p.t, b, p.link)) / b.shape[0])
         return p
+
+
+def _gradient_sweep(fam: GlmFamily, pair: ProductPair, b: np.ndarray, x: np.ndarray):
+    """Margins t = A x, the link value and the data-term gradient
+    A^T fhat'(t) / n in one read of each block of rows; bit for bit the
+    products taken one after the other."""
+    t, link = np.empty(b.shape[0]), np.empty(b.shape[0])
+
+    def slope(rows, block):
+        t[rows] = block @ x
+        link[rows] = fam.link(t[rows], b[rows])
+        return fam.slope(t[rows], b[rows], link[rows])
+
+    return t, link, pair.fold(slope) / b.shape[0]
 
 
 def _check_point(model: LossModel, x: np.ndarray) -> np.ndarray:
@@ -330,18 +393,11 @@ def full_value(model: LossModel, x: np.ndarray) -> float:
     return float(np.mean(fam.value(p.t, model.dataset.b, p.link)) + reg + model.linear @ x)
 
 
-def _mean_gradient(model: LossModel, x: np.ndarray, rows: ProductPair, b: np.ndarray,
-                   t: np.ndarray, link: np.ndarray) -> np.ndarray:
-    """Mean of the component gradients over the rows (A, b) at margins t = A x."""
-    w = GLM_FAMILIES[model.family].slope(t, b, link)
-    return rows.rmatvec(w) / b.shape[0] + model.reg_curvature() * x + model.linear
-
-
 def full_gradient(model: LossModel, x: np.ndarray) -> np.ndarray:
     """Exact gradient of f (gradients are never sub-sampled)."""
     x = _check_point(model, x)
-    p = model.at(x)
-    return _mean_gradient(model, x, model.dataset.products(), model.dataset.b, p.t, p.link)
+    g = model.at(x, gradient=True).data_gradient
+    return g + model.reg_curvature() * x + model.linear
 
 
 def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -354,9 +410,8 @@ def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.n
     if indices.min() < 0 or indices.max() >= model.n:
         raise IndexError("batch index out of range")
     rows, b = model.dataset.products().rows(indices), model.dataset.b[indices]
-    t = rows.matvec(x)
-    link = GLM_FAMILIES[model.family].link(t, b)
-    return _mean_gradient(model, x, rows, b, t, link)
+    _, _, g = _gradient_sweep(GLM_FAMILIES[model.family], rows, b, x)
+    return g + model.reg_curvature() * x + model.linear
 
 
 @dataclass
@@ -384,5 +439,7 @@ def lipschitz_bounds(model: LossModel) -> LipschitzInfo:
     reg = model.reg_curvature()
     lo, hi = GLM_FAMILIES[model.family].curvature_range
     per = np.maximum(reg, np.maximum(np.abs(lo * sq + reg), np.abs(hi * sq + reg)))
-    return LipschitzInfo(L=float(np.max(per)), Lbar=float(np.mean(per)), per_component=per)
+    L = float(np.max(per))
+    # the mean of equal L_j can round above their max
+    return LipschitzInfo(L=L, Lbar=min(float(np.mean(per)), L), per_component=per)
 

@@ -43,6 +43,11 @@ def sample_size_uniform(eps: float, per_iter_delta: float, L: float, d: int, n: 
     return _capped(body, per_iter_delta, d, n)
 
 
+def _nonuniform_p_free_term(eps: float, Lbar: float) -> float:
+    # the term of the non-uniform lemma that does not depend on p
+    return 4.0 * Lbar * Lbar / eps**2
+
+
 def sample_size_nonuniform(
     eps: float, per_iter_delta: float, L: float, Lbar: float, p_min: float, d: int, n: int
 ) -> int:
@@ -54,7 +59,7 @@ def sample_size_nonuniform(
     if not (0.0 < p_min <= 1.0):
         raise ValueError("p_min must lie in (0,1]; p_min = 0 is a degenerate curvature state")
     body = max(
-        4.0 * Lbar * Lbar / eps**2,
+        _nonuniform_p_free_term(eps, Lbar),
         (2.0 * L / eps) * (n + 1.0 / p_min - 2.0) / n,
     )
     return _capped(body, per_iter_delta, d, n)
@@ -84,7 +89,8 @@ class SamplingPlan:
     The scheme is non-uniform exactly when the plan keeps its probabilities.
     A non-uniform request is `downgraded` to uniform when the curvature is
     degenerate or when its size exceeds the uniform one, so each lemma keeps
-    its own size/distribution pairing.
+    its own size/distribution pairing. A plan that is exact whatever the
+    probabilities are is never downgraded and costs no sweep.
     """
 
     size: int
@@ -98,7 +104,7 @@ class SamplingPlan:
             raise ValueError("resolved sample size must be >= 1")
         if self.probabilities is not None:
             s = float(self.probabilities.sum())
-            if abs(s - 1.0) > 1e-12:
+            if not abs(s - 1.0) <= 1e-12:  # NaN fails too
                 raise ValueError(f"probabilities sum to {s}, expected 1")
             if np.any(self.probabilities < 0.0):
                 raise ValueError("negative probability")
@@ -118,7 +124,9 @@ def resolve_plan(
     The lemma formulas are evaluated at eps_i/2 because the operator also
     receives an (eps_i/2) I shift. Degenerate curvature silently falls back
     to uniform. `fixed_size` overrides the formula (scripted tests); the cap
-    still applies.
+    still applies. The weights are not computed where the plan is exact
+    whatever they are: a fixed size of at least n, or a uniform size and
+    the non-uniform lemma's p-free term that both cap at n.
     """
     if not (0.0 < eps_i <= 1.0):
         raise ValueError(f"eps_i must lie in (0,1], got {eps_i}")
@@ -126,16 +134,21 @@ def resolve_plan(
         raise ValueError(f"unknown scheme {scheme!r}")
     n, d = model.n, model.d
     eps_half = eps_i / 2.0
+    size = sample_size_uniform(eps_half, per_iter_delta, lip.L, d, n)
+    if fixed_size is not None:
+        exact_for_any_p = fixed_size >= n
+    else:
+        exact_for_any_p = size >= n and _capped(
+            _nonuniform_p_free_term(eps_half, lip.Lbar), per_iter_delta, d, n) >= n
     p = None
     sweeps = 0
-    if scheme == "nonuniform":
+    if scheme == "nonuniform" and not exact_for_any_p:
         try:
             p, p_min = nonuniform_distribution(model, x)
             sweeps = 1
         except DegenerateCurvatureError:
             pass
 
-    size = sample_size_uniform(eps_half, per_iter_delta, lip.L, d, n)
     if p is not None:
         size_non = sample_size_nonuniform(
             eps_half, per_iter_delta, lip.L, lip.Lbar, p_min, d, n
@@ -144,7 +157,7 @@ def resolve_plan(
             size = size_non
         else:
             p = None
-    downgraded = scheme == "nonuniform" and p is None
+    downgraded = scheme == "nonuniform" and p is None and not exact_for_any_p
 
     if fixed_size is not None:
         size = min(int(fixed_size), n)
@@ -160,9 +173,21 @@ class SampleStream:
         self._gen = np.random.Generator(np.random.Philox(key=int(seed)))
 
     def draw(self, plan: SamplingPlan, n: int) -> np.ndarray:
-        if plan.probabilities is not None:
-            return self._gen.choice(n, size=plan.size, replace=True, p=plan.probabilities)
-        return self._gen.integers(0, n, size=plan.size)
+        """plan.size rows drawn with replacement; non-uniform draws come out
+        sorted.
+
+        A non-uniform draw is Generator.choice's inverse CDF on sorted
+        uniforms: the same rows and the same generator state afterwards,
+        without choice's search of unsorted keys.
+        """
+        p = plan.probabilities
+        if p is None:
+            return self._gen.integers(0, n, size=plan.size)
+        if p.shape != (n,):
+            raise ValueError(f"probabilities of shape {p.shape} for {n} rows")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return cdf.searchsorted(np.sort(self._gen.random(plan.size)), side="right")
 
 
 class SubsampledHessian:
@@ -192,10 +217,9 @@ class SubsampledHessian:
         else:
             if stream is None:
                 raise ValueError("sampled build needs a SampleStream")
-            counts = np.bincount(stream.draw(plan, n), minlength=n)
-            idx = np.flatnonzero(counts)
+            idx, counts = np.unique(stream.draw(plan, n), return_counts=True)
             pj = 1.0 / n if plan.probabilities is None else plan.probabilities[idx]
-            w = counts[idx] / (n * plan.size * pj)
+            w = counts / (n * plan.size * pj)
             self._rows = model.dataset.products().rows(idx)
             p = model.at(x)
             b = model.dataset.b[idx]
@@ -207,6 +231,6 @@ class SubsampledHessian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float).ravel()
-        out = self._rows.rmatvec(self._coeffs * self._rows.matvec(v))
+        out = self._rows.hvp(self._coeffs, v)
         out += (self._diag + self.shift) * v
         return out

@@ -15,7 +15,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
-from sarc.problems import GLM_FAMILIES, Dataset, LossModel, curvature_vector
+from sarc.problems import (
+    GLM_FAMILIES,
+    Dataset,
+    DegenerateCurvatureError,
+    LossModel,
+    curvature_vector,
+)
+from sarc.sampling import nonuniform_distribution, sample_size_nonuniform, sample_size_uniform
 
 
 def row(dataset: Dataset, j: int) -> np.ndarray:
@@ -119,6 +126,25 @@ def lemma_nonuniform_bound(
     max{4 Lbar^2/eps^2, (2L/eps) (n + 1/p_min - 2)/n} log(2d/delta)."""
     linear = (2.0 * L / eps) * (n + 1.0 / p_min - 2.0) / n
     return max(4.0 * Lbar * Lbar / eps**2, linear) * math.log(2.0 * d / delta)
+
+
+def always_sweep_plan(model: LossModel, x: np.ndarray, eps_i: float, per_iter_delta: float,
+                      lip, fixed_size: int | None = None) -> tuple[int, bool]:
+    """(size, exact) of a non-uniform request that sweeps the curvature
+    whatever the sizes are: the smaller lemma size, or the fixed size, capped
+    at n."""
+    n, d, eps = model.n, model.d, eps_i / 2.0
+    size = sample_size_uniform(eps, per_iter_delta, lip.L, d, n)
+    try:
+        _, p_min = nonuniform_distribution(model, x)
+    except DegenerateCurvatureError:
+        pass
+    else:
+        size = min(size, sample_size_nonuniform(eps, per_iter_delta, lip.L, lip.Lbar,
+                                                p_min, d, n))
+    if fixed_size is not None:
+        size = min(int(fixed_size), n)
+    return size, size >= n
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -15,10 +15,12 @@ bit on about 5 %, 8 % and 27 % of uniform inputs, so a CPU without the same
 dispatch can move the CSV digests by rounding alone.
 
 The specs on synth_logistic data (all but criterion_8_pca) are dense, so A
-is read column-major (`Dataset.products`): their digests also assume
-OpenBLAS's dgemv kernel for A v and numpy's einsum loop for A^T u. Another
-OpenBLAS version or core type may order dgemv's sums differently; CI logs
-both with numpy.show_runtime().
+is read column-major in blocks of 8,192 rows (`ProductPair`): their digests
+also assume OpenBLAS's dgemv kernel for A v and its ddot kernel, called by
+numpy's vecdot, for A^T u. A block stays below ddot's 10,000-entry
+threading cutoff, so ddot runs on one thread at any BLAS thread count.
+Another OpenBLAS version or core type may order either kernel's sums
+differently; CI logs both with numpy.show_runtime().
 
     python tests/test_golden.py   # prints the current digests as JSON
 """
@@ -94,84 +96,84 @@ SPECS["criterion_8_pca"] = _criterion_8_pca
 
 GOLDEN = {
     "bench_sarc": [
-        "32b490ab91ddd4fef00062c5c93bb2c6ce70e4fd62505a6d6b2533983e9907d7",
+        "105d604ef9a8e795e81e3eccc4a27d0165f3c1c57c6256125a8318b56f6d29ab",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_saarc": [
-        "b83014e54bda9eae7b27652eb54b446976d051505545afca098473046399c8a1",
+        "d04ab9d6a2f81be61a97c5182cee6e2ea86b0beddce35b4a2cfa4e5cea63f8aa",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_sacr": [
-        "1feb9e51a1271e45b631d112a38130b6416eeeaf46e9aaa1854e0999d88e91a8",
+        "0d7612cd787f7e1280d83baad729d2efe9fdaa2b311e695505efd1728e95d178",
         "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
     ],
     "bench_cr": [
-        "71f1efd4b8c1d05d64756598462d48e18a5dd923f68660166e1a3eca4000e649",
+        "18a07182f55a06c926f8148eb8dd5beecffb64059462964909f9de1d8f7ed217",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_acr": [
-        "703fb4d5a333801053a14520b42ba25ac56a85400af4394ab813390c10e1df29",
+        "ae2457a1d13779ecdd90e1efbc6d5c1409172bb405ee9059b82492af31cce767",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_agd": [
-        "e2fd0d77aed62432be5ec34443a7b6ffcbe294d2105457193b7f3af22430fb16",
+        "01211070c01d26078b5af14c6adb0fea56a6f148fbd592b53d5d5f11233abca5",
         "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
     ],
     "bench_sgd": [
-        "63e0c52ed48c5a34ada62a88393ea9d698def0041dfa594ce5634f37f9b71889",
+        "0328d1a240d3987239f40d6fdd8d2edbf9719ad0f58b3af068d9e98dc300a959",
         "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
     ],
     "bench_lbfgs": [
-        "dae87d4e807a83ceb0f8c0f05d28ee78d49ca390caa5d6b8a9a1f9e071d3c520",
+        "37f52dfcc4aec96c506488e1c6c3a70a549de6febc8e9d645068134d936cc4a9",
         "36fe2eb7a4ea81851c6cdbb29a5413093882c25b643b4e9cb6943963e7602689",
     ],
     "sampled_sarc_uniform": [
-        "44c10f68744f8c8c60e6ccb240be752337c337264f86e4fca1f0723efae17081",
+        "5e29c773bd7a28f70b2d27827668c98772ad3edd0387787b41a7d4f9cda6dda0",
         "33b5743e4952ff74f7462e9b1715c058df9e07583db110110c0cc3f4f8dcf33c",
     ],
     "sampled_sarc_nonuniform": [
-        "ee18e1460dafa7d3a34b3365399760864c5bcdaa899b085c705d8ea2fa164d48",
+        "cbc369055e32be2c2040748732360a2cb396c263b5b4371361546e86f3ea5a68",
         "23bd934248a4259b9b875ec586e917ddfd541a45f64a8f24be0727796e3660ad",
     ],
     "sampled_saarc_uniform": [
-        "031108a1bf90b356b5edcfbf6a6673dc4249c92b9d1353147af396c6fa9fdaed",
+        "a08907a9fb719bfbf447fff0ca0f26d003a70bdb9de13760e2d3a9caf9ec683d",
         "6ff7225e04736795f573075b38603af4ea3684b023ff75f79faa878785013f65",
     ],
     "sampled_saarc_nonuniform": [
-        "8a86f49f8137897ebfb379634754a9292b9519ef24ae203b18a5ee19339230ca",
+        "f44d325b26e417a25a811a4bac987b0045962ce8a9389e83f54218c42bf96066",
         "7a070287af7f6575000a2fa410a77c29323089002c60ccd4a3b5961d49df73de",
     ],
     "sampled_sacr_uniform": [
-        "4d92a1acf10d028e2212c9487503574f6df2f94fc5365f2bae73c25ba13a5312",
+        "787834e009c42f872b46ff84787d1292eba9c9d63a69fe8c4d61174670363034",
         "bf73214b8d21d6bb612ff3ba80bed1e867dcdb1f4ab42318d3159e06c9de117d",
     ],
     "sampled_sacr_nonuniform": [
-        "b4026d73091bbc665d737e1905a5ae656d6faadc916280a6067cfadd39ac5e6e",
+        "ebb011cf4b5178b6375eaf833f4d3e322c63167769c2aceb0ee0bbc202b230e2",
         "ffe8a5a0de04473f32d39f6c273ba4aa01bb9e166705620bcc831c37b3bf8cde",
     ],
     "bench_sarc_nonuniform": [
-        "32b490ab91ddd4fef00062c5c93bb2c6ce70e4fd62505a6d6b2533983e9907d7",
+        "105d604ef9a8e795e81e3eccc4a27d0165f3c1c57c6256125a8318b56f6d29ab",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_saarc_nonuniform": [
-        "b83014e54bda9eae7b27652eb54b446976d051505545afca098473046399c8a1",
+        "d04ab9d6a2f81be61a97c5182cee6e2ea86b0beddce35b4a2cfa4e5cea63f8aa",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_sacr_nonuniform": [
-        "1feb9e51a1271e45b631d112a38130b6416eeeaf46e9aaa1854e0999d88e91a8",
+        "0d7612cd787f7e1280d83baad729d2efe9fdaa2b311e695505efd1728e95d178",
         "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
     ],
     "family_svm_sarc_uniform": [
-        "20813cd4916ed95d010878f716d45700cdaa5f6416fd148442399d1629555977",
+        "51b7b3905c405128cd1aed5f28c26fc234dfd7a3e8e7e553887b2ade832119bf",
         "94b71a1763c3efac61ca8f76f10df6d9d5590dd6b4e96f1362ebba7116266790",
     ],
     "family_svm_saarc_nonuniform": [
-        "e9fb173b86cbc67d88d68fdb9af898b215694a9e2b4c2b81e634cb9a55df9176",
+        "49c22a7c7fd9224cd46fcc166118d6aaa0dcf72af79d78104bb4c3565d95e9ee",
         "131916e091dce5ad72c0df2b8085f7530d196dcc9dfa5a5304206860082471c1",
     ],
     "family_ridge_sacr_nonuniform": [
-        "747f341a6496ddb675b1c6f20eb5977da89cbb8444b97148bc5e02a254058ce0",
-        "2704bc755cad8e2947ab6384ef95bca570af73e3d7c10755744531de17d3fb48",
+        "1a268edd2bae61b742acb483b6363f5a1f1ef0885858bfd2687ba8aa8ae03502",
+        "9e9599361e36ddccba5f0bf1c92e3afa32f7ca6989a5478517d4b123feb54790",
     ],
     "criterion_8_pca": [
         "387dc25b585ba168b49aedf20c4883f21f6897fed3faf0712737baec8439de37",

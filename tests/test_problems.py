@@ -227,6 +227,14 @@ class TestLipschitz:
                 top = float(np.abs(np.linalg.eigvalsh(H_j)).max())
                 assert top <= info.per_component[j] * (1.0 + 1e-12)
 
+    def test_equal_bounds_keep_their_mean_at_most_their_max(self):
+        # every row is short, so every pca L_j is mu; their float mean is
+        # 0.010000000000000002 > 0.01
+        A = np.random.default_rng(0).standard_normal((489, 1)) * 0.03125
+        model = LossModel("pca_quadratic", 0.01, Dataset.from_dense(A, np.ones(489)))
+        info = lipschitz_bounds(model)
+        assert info.L == info.Lbar == 0.01
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_per_component_closed_forms_bitwise(self, family):
         rng = np.random.default_rng(9)
@@ -395,29 +403,68 @@ class TestProductPair:
         assert not hasattr(ds, "_products")
         assert ds.products() is ds.products()
 
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 3 * 8192 + 5])
+    def test_fused_products_equal_composed_ones(self, n):
+        # on both sides of the dense block size, with tails of 1 and 5 rows;
+        # density 1 is read column-major and 0.3 as CSR
+        rng = np.random.default_rng(n)
+        d = 12
+        b = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        x, v, c = rng.standard_normal(d), rng.standard_normal(d), rng.random(n)
+        for density in (1.0, 0.3):
+            A = sp.random(n, d, density=density, format="csr", random_state=rng,
+                          data_rvs=rng.standard_normal)
+            ds = Dataset(A, b)
+            pair = ds.products()
+            assert isinstance(pair.M, np.ndarray) == (density == 1.0)
+            for block in (pair, pair.rows(np.sort(rng.integers(0, n, n // 2)))):
+                cb = c[:block.M.shape[0]]
+                composed = block.rmatvec(cb * block.matvec(v))
+                assert block.hvp(cb, v).tobytes() == composed.tobytes()
+            for family in ALL_FAMILIES:
+                fam = GLM_FAMILIES[family]
+                t = pair.matvec(x)
+                link = fam.link(t, b)
+                composed = pair.rmatvec(fam.slope(t, b, link)) / n
+                fused = LossModel(family, 0.01, ds)
+                lazy = LossModel(family, 0.01, ds)
+                full_value(lazy, x)
+                g = full_gradient(fused, x)
+                assert g.tobytes() == full_gradient(lazy, x).tobytes()
+                assert g.tobytes() == (composed + fused.reg_curvature() * x).tobytes()
+                p = fused.at(x)
+                assert p.t.tobytes() == t.tobytes() and p.link.tobytes() == link.tobytes()
+                assert p.data_gradient.tobytes() == composed.tobytes()
+
 
 # Products and a sampled saarc trace on dense data above OpenBLAS's threading
-# threshold, printed as digests; the test runs it at 1 and 2 BLAS threads.
+# threshold, printed as digests; the test runs it at 1, 2 and 4 BLAS threads.
+# Neither row count is a multiple of 8: a dgemv over all 50,003 rows, or over
+# the 6,001 x 100 block whole, splits them between threads where one thread
+# rounds differently.
 _THREADS_PROBE = """
 import hashlib, json
 import numpy as np
 from sarc.bench import trace_rows
 from sarc.data import synth_logistic
-from sarc.problems import LossModel
+from sarc.problems import Dataset, LossModel
 from sarc.saarc_driver import saarc_run
 from sarc.sarc_driver import SolverConfig
 
-ds = synth_logistic(50_000, 10, 3, 1.0, scale=0.25)
+ds = synth_logistic(50_003, 10, 3, 1.0, scale=0.25)
 pair = ds.products()
 rng = np.random.default_rng(4)
-v, u = rng.standard_normal(10), rng.standard_normal(50_000)
-block = pair.rows(np.flatnonzero(rng.random(50_000) < 0.4))
+v, u = rng.standard_normal(10), rng.standard_normal(50_003)
+block = pair.rows(np.flatnonzero(rng.random(50_003) < 0.4))
+wide = Dataset.from_dense(rng.standard_normal((6_001, 100)), np.ones(6_001)).products()
+w = rng.standard_normal(100)
 model = LossModel("reg_logistic", 1e-4, ds, reg_scale=0.5)
 config = SolverConfig(grad_tol=1e-5, max_iters=40, scheme="nonuniform", seed=1)
 trace = saarc_run(model, config, np.random.default_rng(1).standard_normal(10)).trace
 rows = [list(trace_rows(trace)), [(r.phase, r.l, r.varsigma, r.t3) for r in trace]]
-out = {"matvec": pair.matvec(v), "rmatvec": pair.rmatvec(u),
+out = {"matvec": pair.matvec(v), "rmatvec": pair.rmatvec(u), "hvp": pair.hvp(u, v),
        "rows.matvec": block.matvec(v), "rows.rmatvec": block.rmatvec(u[:block.M.shape[0]]),
+       "wide.matvec": wide.matvec(w), "wide.hvp": wide.hvp(u[:6_001], w),
        "trace": repr(rows).encode()}
 print(json.dumps({k: hashlib.sha256(bytes(x)).hexdigest() for k, x in out.items()}))
 """
@@ -427,9 +474,9 @@ def test_dense_products_do_not_depend_on_blas_threads():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
                               capture_output=True, text=True, check=True)
         digests.append(json.loads(proc.stdout))
-    assert digests[0] == digests[1]
+    assert digests == [digests[0]] * 3

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sarc.problems import (
     FAMILIES,
@@ -28,6 +29,7 @@ from sarc.sampling import (
 )
 
 from oracles import (
+    always_sweep_plan,
     dense_hessian,
     lemma_nonuniform_bound,
     lemma_uniform_bound,
@@ -175,7 +177,8 @@ _PLAN_CASES = {
 
 # (requested scheme, curvature case, fixed_size) -> (weighted, size, exact,
 # downgraded, curvature_sweeps), where weighted means the plan keeps its
-# probabilities; fixed_size "n" means exactly n
+# probabilities; fixed_size "n" means exactly n. A plan that is exact whatever
+# the probabilities are sweeps nothing, so it is never downgraded.
 _PLAN_TABLE = [
     ("uniform", "degenerate", None, (False, 6, False, False, 0)),
     ("uniform", "degenerate", 50, (False, 50, False, False, 0)),
@@ -191,16 +194,16 @@ _PLAN_TABLE = [
     ("uniform", "nonuniform_larger", 10**6, (False, 400, True, False, 0)),
     ("nonuniform", "degenerate", None, (False, 6, False, True, 0)),
     ("nonuniform", "degenerate", 50, (False, 50, False, True, 0)),
-    ("nonuniform", "degenerate", "n", (False, 400, True, True, 0)),
-    ("nonuniform", "degenerate", 10**6, (False, 400, True, True, 0)),
+    ("nonuniform", "degenerate", "n", (False, 400, True, False, 0)),
+    ("nonuniform", "degenerate", 10**6, (False, 400, True, False, 0)),
     ("nonuniform", "nonuniform_smaller", None, (True, 120, False, False, 1)),
     ("nonuniform", "nonuniform_smaller", 50, (True, 50, False, False, 1)),
-    ("nonuniform", "nonuniform_smaller", "n", (False, 4000, True, False, 1)),
-    ("nonuniform", "nonuniform_smaller", 10**6, (False, 4000, True, False, 1)),
+    ("nonuniform", "nonuniform_smaller", "n", (False, 4000, True, False, 0)),
+    ("nonuniform", "nonuniform_smaller", 10**6, (False, 4000, True, False, 0)),
     ("nonuniform", "nonuniform_larger", None, (False, 40, False, True, 1)),
     ("nonuniform", "nonuniform_larger", 50, (False, 50, False, True, 1)),
-    ("nonuniform", "nonuniform_larger", "n", (False, 400, True, True, 1)),
-    ("nonuniform", "nonuniform_larger", 10**6, (False, 400, True, True, 1)),
+    ("nonuniform", "nonuniform_larger", "n", (False, 400, True, False, 0)),
+    ("nonuniform", "nonuniform_larger", 10**6, (False, 400, True, False, 0)),
 ]
 
 
@@ -234,11 +237,13 @@ class TestResolvePlan:
         assert plan.curvature_sweeps == 1
 
     def test_degenerate_curvature_falls_back(self):
+        # a fixed size below n keeps the plan sampled, so the sweep runs
         model = LossModel("nonconvex_svm", 0.0,
                           Dataset.from_dense([[1.0], [2.0]], [1.0, -1.0]))
         plan = resolve_plan(model, np.zeros(1), 0.5, 0.1,
-                            LipschitzInfo(1.0, 0.5), scheme="nonuniform")
+                            LipschitzInfo(1.0, 0.5), scheme="nonuniform", fixed_size=1)
         assert plan.probabilities is None and plan.downgraded
+        assert plan.curvature_sweeps == 0 and not plan.exact
 
     def test_plan_picks_smaller_size(self):
         model = _tiny_curvature_model()
@@ -287,6 +292,32 @@ class TestResolvePlan:
         with pytest.raises(ValueError):
             SamplingPlan(3, False, probabilities=np.array([0.5, 0.4]))
 
+    def test_nan_probabilities_are_rejected(self):
+        with pytest.raises(ValueError, match="sum to nan"):
+            SamplingPlan(3, False, probabilities=np.array([np.nan, 0.5, 0.5]))
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1),
+           family=st.sampled_from(FAMILIES),
+           n=st.integers(2, 3000),
+           d=st.integers(1, 6),
+           row_scale=st.floats(1e-3, 2.0),
+           eps_i=st.floats(1e-3, 1.0),
+           delta=st.floats(1e-4, 0.05),
+           fixed=st.none() | st.integers(1, 3003))
+    def test_size_and_exact_match_an_always_sweep_reference(
+            self, seed, family, n, d, row_scale, eps_i, delta, fixed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, d)) * row_scale
+        b = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        model = LossModel(family, 0.01, Dataset.from_dense(A, b))
+        x = rng.standard_normal(d)
+        lip = lipschitz_bounds(model)
+        plan = resolve_plan(model, x, eps_i, delta, lip, scheme="nonuniform", fixed_size=fixed)
+        assert (plan.size, plan.exact) == always_sweep_plan(model, x, eps_i, delta, lip, fixed)
+        if plan.curvature_sweeps == 0 and not plan.downgraded:
+            assert plan.exact  # only a plan exact for any weights skips the sweep
+
 
 class TestSampleStream:
     def test_same_seed_same_draws(self):
@@ -302,6 +333,26 @@ class TestSampleStream:
         plan = SamplingPlan(20, False, probabilities=p)
         idx = SampleStream(7).draw(plan, 5)
         assert np.all(idx == 2)
+
+    @settings(max_examples=200)
+    @given(key=st.integers(0, 2**64 - 1),
+           weights=hnp.arrays(float, st.integers(1, 60),
+                              elements=st.sampled_from([0.0]) | st.floats(1e-3, 1.0)),
+           size=st.integers(1, 150))
+    def test_nonuniform_draw_is_generator_choice_sorted(self, key, weights, size):
+        weights[0] += 1e-3  # some row has positive probability
+        n = weights.shape[0]
+        p = weights / weights.sum()
+        stream = SampleStream(key)
+        got = stream.draw(SamplingPlan(size, False, probabilities=p), n)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(got, np.sort(ref.choice(n, size, replace=True, p=p)))
+        assert np.array_equal(stream.draw(SamplingPlan(7, False), n), ref.integers(0, n, 7))
+
+    def test_probabilities_of_another_length_are_rejected(self):
+        plan = SamplingPlan(4, False, probabilities=np.full(5, 0.2))
+        with pytest.raises(ValueError, match="for 6 rows"):
+            SampleStream(0).draw(plan, 6)
 
 
 class TestSubsampledHessian:
