@@ -217,9 +217,10 @@ class SubsampledHessian:
         else:
             if stream is None:
                 raise ValueError("sampled build needs a SampleStream")
-            idx, counts = np.unique(stream.draw(plan, n), return_counts=True)
+            counts = np.bincount(stream.draw(plan, n), minlength=n)
+            idx = np.flatnonzero(counts)
             pj = 1.0 / n if plan.probabilities is None else plan.probabilities[idx]
-            w = counts / (n * plan.size * pj)
+            w = counts[idx] / (n * plan.size * pj)
             self._rows = model.dataset.products().rows(idx)
             p = model.at(x)
             b = model.dataset.b[idx]
