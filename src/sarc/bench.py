@@ -91,7 +91,7 @@ EXIT_CODES = {
     "converged": 0, "stationary": 0,
     "max_iters": 2, "phase1_exhausted": 2,
     "diverged": 1, "linesearch_failed": 1, "sequence_growth_failed": 1,
-    "subproblem_failed": 1,
+    "subproblem_failed": 1, "sequence_audit_failed": 1,
 }
 
 

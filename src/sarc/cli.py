@@ -4,7 +4,7 @@
 
 Exit codes (`bench.EXIT_CODES`): 0 when the gradient tolerance is reached,
 2 on the iteration cap, 1 on any error (including usage errors, diverged
-runs, line-search failures and failed estimating-sequence growth).
+runs, line-search failures and failed estimating-sequence growth or audits).
 Multiple comma-separated algorithms/seeds expand to a grid of runs; --jobs
 runs them in parallel, and --out must then contain {algo} / {seed}
 placeholders as needed to keep output files distinct. The dataset is

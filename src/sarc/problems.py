@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class GlmFamily:
     shares: expit(-b t) for logistic, tanh(b t) for the SVM, t for ridge and
     pca. `value`, `slope` and `curvature` map (t, b, link value) to fhat,
     fhat' and fhat''; `curvature_range` is (inf, sup) of fhat''(t) for labels
-    in {-1, +1}.
+    in {-1, +1}. `link` and `slope` write into `out` when one is given.
     """
 
     link: Callable
@@ -48,40 +47,61 @@ class GlmFamily:
     curvature_range: tuple[float, float]
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    """ln(1 + exp(z)) as max(z, 0) + log1p(exp(-|z|)), computed in place in z.
+def _times(b, t, out=None) -> np.ndarray:
+    """b t as an array (0-d for scalars), written into `out` when one is given."""
+    return np.asarray(np.multiply(b, t, out=out))
 
-    This is the formula np.logaddexp(0, z) evaluates element by element; the
-    whole-array ufuncs take a third of its time. No step overflows, and the
-    result is within an ulp of ln(1 + exp(z)) wherever it is a normal number.
+
+def _logistic_value(t, b, s) -> np.ndarray:
+    """ln(1 + exp(-b t)) as max(-b t, 0) + log1p(exp(-|b t|)), computed in
+    place in the one array b t, with max(-b t, 0) taken as -min(b t, 0).
+
+    This is the formula np.logaddexp(0, -b t) evaluates element by element;
+    the whole-array ufuncs take a third of its time. No step overflows, and
+    the result is within an ulp of ln(1 + exp(-b t)) wherever it is a normal
+    number.
     """
-    top = np.maximum(z, 0.0)
+    z = _times(b, t)
+    low = np.minimum(z, 0.0)
     np.abs(z, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     np.log1p(z, out=z)
-    z += top
+    z -= low
     return z
 
 
-def _neg_product(b, t) -> np.ndarray:
-    """-(b t) in one new array: bit for bit (-b) * t, since IEEE products are
-    sign-symmetric, without the throwaway array -b."""
-    z = np.asarray(b * t)
+def _logistic_link(t, b, out=None) -> np.ndarray:
+    """expit(-b t) as 1 / (1 + exp(b t)), computed in place in the one array
+    b t: scipy's formula, with numpy's SIMD exp in place of the C library's.
+    Where b t passes 709.78, exp overflows to inf and the link is 0, as
+    expit's is."""
+    z = _times(b, t, out)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+def _logistic_slope(t, b, s, out=None) -> np.ndarray:
+    """-(b s): bit for bit (-b) s, since IEEE products are sign-symmetric."""
+    z = _times(b, s, out)
     return np.negative(z, out=z)
 
 
-def _logistic_link(t, b) -> np.ndarray:
-    """expit(-b t), computed in place in the one array -(b t)."""
-    z = _neg_product(b, t)
-    return expit(z, out=z)
+def _svm_slope(t, b, u, out=None) -> np.ndarray:
+    """-b (1 - u^2), as -(b (1 - u^2))."""
+    z = _times(u, u, out)
+    np.subtract(1.0, z, out=z)
+    z *= b
+    return np.negative(z, out=z)
 
 
 GLM_FAMILIES = {
     "ridge_least_squares": GlmFamily(
-        link=lambda t, b: t,
+        link=lambda t, b, out=None: np.positive(t, out=out),
         value=lambda t, b, u: np.square(t - b),
-        slope=lambda t, b, u: 2.0 * (t - b),
+        slope=lambda t, b, u, out=None: np.multiply(2.0, np.subtract(t, b, out=out), out=out),
         curvature=lambda t, b, u: np.full(np.shape(t), 2.0),
         curvature_range=(2.0, 2.0),
     ),
@@ -90,24 +110,24 @@ GLM_FAMILIES = {
         # fhat'' = b^2 s(1-s) with s = sigmoid(-b t), and b^2 = 1 exactly for
         # the labels LossModel admits
         link=_logistic_link,
-        value=lambda t, b, s: _softplus(_neg_product(b, t)),
-        slope=lambda t, b, s: _neg_product(b, s),
+        value=_logistic_value,
+        slope=_logistic_slope,
         curvature=lambda t, b, s: s * (1.0 - s),
         curvature_range=(0.0, 0.25),
     ),
     "nonconvex_svm": GlmFamily(
         # d^2/dt^2 (1 - tanh(b t)) = 2 b^2 tanh(b t) sech^2(b t)
-        link=lambda t, b: np.tanh(b * t),
+        link=lambda t, b, out=None: np.tanh(np.multiply(b, t, out=out), out=out),
         value=lambda t, b, u: 1.0 - u,
-        slope=lambda t, b, u: -b * (1.0 - u * u),
+        slope=_svm_slope,
         curvature=lambda t, b, u: 2.0 * b * b * u * (1.0 - u * u),
         # max |d^2/dt^2 (1 - tanh t)| = 4/(3*sqrt(3)), attained where tanh^2 t = 1/3
         curvature_range=(-4.0 / (3.0 * np.sqrt(3.0)), 4.0 / (3.0 * np.sqrt(3.0))),
     ),
     "pca_quadratic": GlmFamily(
-        link=lambda t, b: t,
+        link=lambda t, b, out=None: np.positive(t, out=out),
         value=lambda t, b, u: -0.5 * u * u,
-        slope=lambda t, b, u: -u,
+        slope=lambda t, b, u, out=None: np.negative(u, out=out),
         curvature=lambda t, b, u: np.full(np.shape(t), -1.0),
         curvature_range=(-1.0, -1.0),
     ),
@@ -138,32 +158,47 @@ class ProductPair:
     product streams.
 
     Dense rows are a column-major `M` and `MT` is None. Every product reads
-    them in the same fixed blocks (`_blocks`): A v is BLAS dgemv per block, and
-    A^T u sums one ddot per column and block (numpy's vecdot), block after
-    block in row order. Sparse rows are CSR beside A^T in `MT`: a CSR copy
-    for the whole matrix, whose gather has the bits of the CSC scatter
-    `M.T @ u` in less time, or the free view `M.T` for sampled rows; they are
-    read whole.
+    them in the same fixed `blocks`: A v is BLAS dgemv per block, written
+    straight into its rows of the result, and A^T u sums one ddot per column
+    and block (numpy's vecdot), block after block in row order. Sparse rows
+    are CSR beside A^T in `MT`: a CSR copy for the whole matrix, whose gather
+    has the bits of the CSC scatter `M.T @ u` in less time, or the free view
+    `M.T` for sampled rows; they are read whole, as one block.
     """
 
     M: np.ndarray | sp.csr_matrix
     MT: sp.spmatrix | None = None
+    # (rows, A[rows]) for each block, in row order: dense blocks of
+    # BLOCK_ROWS rows each, up to a multiple of 8, then the last n % 8 rows
+    blocks: tuple = field(init=False, repr=False)
 
-    def _blocks(self):
-        """(rows, A[rows]) for each dense block, in row order: BLOCK_ROWS
-        rows each, up to a multiple of 8, then the last n % 8 rows."""
+    def __post_init__(self):
         n = self.M.shape[0]
-        starts = [*range(0, n - n % 8, BLOCK_ROWS), n - n % 8, n]
-        for lo, hi in zip(starts, starts[1:]):
-            if hi > lo:
-                yield slice(lo, hi), self.M[lo:hi]
+        if self.MT is None:
+            starts = [*range(0, n - n % 8, BLOCK_ROWS), n - n % 8, n]
+            blocks = [(slice(lo, hi), self.M[lo:hi])
+                      for lo, hi in zip(starts, starts[1:]) if hi > lo]
+        else:
+            blocks = [(slice(0, n), self.M)]
+        object.__setattr__(self, "blocks", tuple(blocks))
+
+    def scratch(self) -> np.ndarray:
+        """An empty buffer as long as the longest block, the first."""
+        return np.empty(self.blocks[0][0].stop)
+
+    def product(self, block, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """block v, written into `out`."""
+        if self.MT is not None:
+            out[...] = block @ v
+            return out
+        return np.matmul(block, v, out=out)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.MT is not None:
             return self.M @ v
         out = np.empty(self.M.shape[0])
-        for rows, block in self._blocks():
-            out[rows] = block @ v
+        for rows, block in self.blocks:
+            np.matmul(block, v, out=out[rows])
         return out
 
     def fold(self, row_map: Callable) -> np.ndarray:
@@ -174,7 +209,7 @@ class ProductPair:
         if self.MT is not None:
             return self.MT @ row_map(slice(None), self.M)
         out = np.zeros(self.M.shape[1])
-        for rows, block in self._blocks():
+        for rows, block in self.blocks:
             out += np.vecdot(block.T, row_map(rows, block))
         return out
 
@@ -183,7 +218,13 @@ class ProductPair:
 
     def hvp(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A^T (c * A v), bit for bit rmatvec(c * matvec(v))."""
-        return self.fold(lambda rows, block: c[rows] * (block @ v))
+        w = self.scratch()
+
+        def scaled(rows, block):
+            cv = self.product(block, v, w[:block.shape[0]])
+            return np.multiply(c[rows], cv, out=cv)
+
+        return self.fold(scaled)
 
     def rows(self, idx: np.ndarray) -> "ProductPair":
         """The pair over the rows `idx`, copied out of this one."""
@@ -192,7 +233,7 @@ class ProductPair:
             # would hold two copies of the block at once
             block = np.empty((len(idx), self.M.shape[1]), order="F")
             for j, column in enumerate(self.M.T):
-                np.take(column, idx, out=block[:, j])
+                np.take(column, idx, out=block[:, j], mode="clip")
             return ProductPair(block)
         sub = self.M[idx]
         return ProductPair(sub, sub.T)
@@ -354,13 +395,14 @@ class LossModel:
 def _gradient_sweep(fam: GlmFamily, pair: ProductPair, b: np.ndarray, x: np.ndarray):
     """Margins t = A x, the link value and the data-term gradient
     A^T fhat'(t) / n in one read of each block of rows; bit for bit the
-    products taken one after the other."""
-    t, link = np.empty(b.shape[0]), np.empty(b.shape[0])
+    products taken one after the other. Each block writes its margins and
+    link values in place and its slope into one scratch buffer."""
+    t, link, w = np.empty(b.shape[0]), np.empty(b.shape[0]), pair.scratch()
 
     def slope(rows, block):
-        t[rows] = block @ x
-        link[rows] = fam.link(t[rows], b[rows])
-        return fam.slope(t[rows], b[rows], link[rows])
+        tr, br = pair.product(block, x, t[rows]), b[rows]
+        lr = fam.link(tr, br, out=link[rows])
+        return fam.slope(tr, br, lr, out=w[:block.shape[0]])
 
     return t, link, pair.fold(slope) / b.shape[0]
 

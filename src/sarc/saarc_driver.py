@@ -12,7 +12,8 @@ y_l = l/(l+3) xbar_l + 3/(l+3) z_l. A trial step s at y_l is accepted when
 rho = -s . grad f(y_l + s) / ||s||^3 >= eta. On success the sequence gains the
 linear term of the new point with weight l(l+1)/2, and varsigma grows by
 gamma3 factors until psi_l(z_l) >= (l(l+1)(l+2)/6) f(xbar_l); a growth that
-hits its cap or overflows ends the run with status "sequence_growth_failed".
+hits its cap or overflows ends the run with status "sequence_growth_failed",
+and a sequence that then fails its numeric audit with "sequence_audit_failed".
 
 Successful iterations update the Hessian tolerance from the gradient at the
 next extrapolation point, eps = min(1, (1-kappa_theta)||grad f(y_l)||/2),
@@ -80,6 +81,14 @@ class SequenceGrowthError(RuntimeError):
     """varsigma reached its growth cap or overflowed before psi(argmin)
     reached the threshold."""
 
+    status = "sequence_growth_failed"
+
+
+class SequenceAuditError(AssertionError):
+    """The estimating sequence failed a numeric guard of `_audit_sequence`."""
+
+    status = "sequence_audit_failed"
+
 
 def grow_varsigma(seq: EstimatingSequence, threshold: float, gamma3: float,
                   cap: int = 10000) -> tuple[np.ndarray, int]:
@@ -113,7 +122,7 @@ def _audit_sequence(seq: EstimatingSequence, z: np.ndarray, threshold: float):
     """Numeric guards on the estimating sequence at every successful step."""
     psi_z = seq.psi_value(z)
     if not psi_z >= threshold:  # nan fails too
-        raise AssertionError(
+        raise SequenceAuditError(
             f"estimating-sequence lower bound violated: psi(z)={psi_z} < {threshold}"
         )
     scale = max(
@@ -123,7 +132,7 @@ def _audit_sequence(seq: EstimatingSequence, z: np.ndarray, threshold: float):
     )
     resid = float(np.linalg.norm(seq.psi_grad(z)))
     if not resid <= 1e-10 * scale:
-        raise AssertionError(f"psi minimizer residual {resid} exceeds 1e-10 relative")
+        raise SequenceAuditError(f"psi minimizer residual {resid} exceeds 1e-10 relative")
 
 
 def _switch(state: SolverState, config: SolverConfig) -> None:
@@ -192,12 +201,13 @@ def phase2_step(state: SolverState, model: LossModel, config: SolverConfig) -> S
     threshold = l_new * (l_new + 1) * (l_new + 2) / 6.0 * f_new
     try:
         z, growths = grow_varsigma(seq, threshold, config.gamma3)
-    except SequenceGrowthError:
-        state.status = "sequence_growth_failed"
+        state.T3 += growths
+        _audit_sequence(seq, z, threshold)
+    except (SequenceGrowthError, SequenceAuditError) as e:
+        # the iterate has not moved: the failed row repeats it
+        state.status = e.status
         _record(state, success=False)
         return state
-    state.T3 += growths
-    _audit_sequence(seq, z, threshold)
     _move(state, model, x_trial, f_new, grad_trial)
     state.l = l_new
 

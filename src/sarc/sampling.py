@@ -17,6 +17,7 @@ with the non-uniform weights p_j proportional to |fhat_j''(a_j^T x)| ||a_j||^2
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,13 +74,13 @@ def nonuniform_distribution(model: LossModel, x: np.ndarray):
     DegenerateCurvatureError when every weight vanishes (caller falls back to
     uniform sampling).
     """
-    weights = np.abs(curvature_vector(model, x)) * model.dataset.row_sq_norms()
-    total = float(weights.sum())
+    p = np.abs(curvature_vector(model, x))
+    p *= model.dataset.row_sq_norms()
+    total = float(p.sum())
     if total <= 0.0:
         raise DegenerateCurvatureError("all component curvatures vanish at this point")
-    p = weights / total
-    p_min = float(p[p > 0.0].min())
-    return p, p_min
+    p /= total
+    return p, float(p.min(where=p > 0.0, initial=np.inf))
 
 
 @dataclass
@@ -190,6 +191,23 @@ class SampleStream:
         return cdf.searchsorted(np.sort(self._gen.random(plan.size)), side="right")
 
 
+def _runs(draw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a sorted draw and how often each was drawn, read
+    off its runs in O(m)."""
+    first = np.empty(draw.size, dtype=bool)
+    first[0] = True
+    np.not_equal(draw[1:], draw[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return draw[starts], np.diff(starts, append=draw.size)
+
+
+@functools.lru_cache(maxsize=4)
+def _exact_weight_sum(n: int) -> float:
+    # numpy's pairwise sum of n weights 1/n, which can differ from n * (1/n)
+    # in the last bit; formed once per n
+    return float(np.full(n, 1.0 / n).sum())
+
+
 class SubsampledHessian:
     """Symmetric operator v -> H~(x) v + shift*v built from a weighted sample.
 
@@ -211,24 +229,28 @@ class SubsampledHessian:
 
         if plan.exact:
             idx = np.arange(n)
-            w = np.full(n, 1.0 / n)
+            w = 1.0 / n
             self._rows = model.dataset.products()
             curv = curvature_vector(model, x)
+            w_sum = _exact_weight_sum(n)
         else:
             if stream is None:
                 raise ValueError("sampled build needs a SampleStream")
-            counts = np.bincount(stream.draw(plan, n), minlength=n)
-            idx = np.flatnonzero(counts)
+            draw = stream.draw(plan, n)
+            if plan.probabilities is None:
+                draw.sort()  # a non-uniform draw comes sorted
+            idx, counts = _runs(draw)
             pj = 1.0 / n if plan.probabilities is None else plan.probabilities[idx]
-            w = counts[idx] / (n * plan.size * pj)
+            w = counts / (n * plan.size * pj)
             self._rows = model.dataset.products().rows(idx)
             p = model.at(x)
             b = model.dataset.b[idx]
             curv = GLM_FAMILIES[model.family].curvature(p.t[idx], b, p.link[idx])
+            w_sum = float(w.sum())
         self.indices = idx
         self._weights = w
         self._coeffs = w * curv
-        self._diag = float(w.sum()) * model.reg_curvature()
+        self._diag = w_sum * model.reg_curvature()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float).ravel()

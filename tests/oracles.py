@@ -147,6 +147,23 @@ def always_sweep_plan(model: LossModel, x: np.ndarray, eps_i: float, per_iter_de
     return size, size >= n
 
 
+def counted_build(model: LossModel, x: np.ndarray, plan, stream) -> tuple:
+    """(indices, weights, coefficients, diagonal) of a Hessian build, with the
+    draw counted by a bincount over all n rows and an exact build weighted by
+    the array np.full(n, 1/n)."""
+    n = model.n
+    if plan.exact:
+        idx = np.arange(n)
+        w = np.full(n, 1.0 / n)
+    else:
+        counts = np.bincount(stream.draw(plan, n), minlength=n)
+        idx = np.flatnonzero(counts)
+        pj = 1.0 / n if plan.probabilities is None else plan.probabilities[idx]
+        w = counts[idx] / (n * plan.size * pj)
+    coeffs = w * curvature_vector(model, x)[idx]
+    return idx, w, coeffs, float(w.sum()) * model.reg_curvature()
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)

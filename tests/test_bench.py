@@ -436,7 +436,7 @@ class TestRunSpec:
     def test_exit_codes(self):
         expected = {"converged": 0, "stationary": 0, "max_iters": 2, "phase1_exhausted": 2,
                     "diverged": 1, "linesearch_failed": 1, "sequence_growth_failed": 1,
-                    "subproblem_failed": 1}
+                    "subproblem_failed": 1, "sequence_audit_failed": 1}
         assert EXIT_CODES == expected
         assert all(exit_code(status) == code for status, code in expected.items())
         assert exit_code("running") == 1  # a status outside the table is a failure

@@ -7,12 +7,14 @@ families or the sampling layer must leave every digest unchanged. The specs
 are rerun once in a child process with OPENBLAS_NUM_THREADS=2 to check that
 the traces do not depend on the BLAS thread count.
 
-The digests also assume numpy's own elementwise kernels: the logistic value
-calls np.exp and np.log1p and the SVM link np.tanh, which numpy dispatches to
-SIMD code by CPU (AVX-512 where the digests were pinned). Those kernels
-differ from the C library's math.exp, math.log1p and math.tanh in the last
-bit on about 5 %, 8 % and 27 % of uniform inputs, so a CPU without the same
-dispatch can move the CSV digests by rounding alone.
+The digests also assume numpy's own elementwise kernels: the logistic link
+1 / (1 + exp(b t)) calls np.exp, the logistic value np.exp and np.log1p and
+the SVM link np.tanh, which numpy dispatches to SIMD code by CPU (AVX-512
+where the digests were pinned). Those kernels differ from the C library's
+math.exp, math.log1p and math.tanh in the last bit on about 5 %, 8 % and
+27 % of uniform inputs, so a CPU without the same dispatch can move the CSV
+digests by rounding alone; the link no longer goes through scipy's expit,
+which calls the C library's exp.
 
 The specs on synth_logistic data (all but criterion_8_pca) are dense, so A
 is read column-major in blocks of 8,192 rows (`ProductPair`): their digests
@@ -96,71 +98,71 @@ SPECS["criterion_8_pca"] = _criterion_8_pca
 
 GOLDEN = {
     "bench_sarc": [
-        "105d604ef9a8e795e81e3eccc4a27d0165f3c1c57c6256125a8318b56f6d29ab",
+        "ffc2c4cc7851222ffa2808caaa76cf2cfe29b7b96b40a7d8d71c6eae5e7a6a14",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_saarc": [
-        "d04ab9d6a2f81be61a97c5182cee6e2ea86b0beddce35b4a2cfa4e5cea63f8aa",
+        "c6bf427342a2bc4f6a63522fd6b5b29a1f831c81bd7b20310b0c65fcaaa949e9",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_sacr": [
-        "0d7612cd787f7e1280d83baad729d2efe9fdaa2b311e695505efd1728e95d178",
+        "a6f4cdc3d1da4e9fb53a35a12c00ab29c71b42ec66d349298539b52e69a97336",
         "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
     ],
     "bench_cr": [
-        "18a07182f55a06c926f8148eb8dd5beecffb64059462964909f9de1d8f7ed217",
+        "1a5e16f9f95427d79caad26d9e611a096b2b98022b14786bb68869227508db5f",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_acr": [
-        "ae2457a1d13779ecdd90e1efbc6d5c1409172bb405ee9059b82492af31cce767",
+        "ac4a2922a6dcfa81a360aea720819d4b0746176b54e3124fcb7b57e315fd8bd6",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_agd": [
-        "01211070c01d26078b5af14c6adb0fea56a6f148fbd592b53d5d5f11233abca5",
+        "beded3a16632f7cebb043ce734b09ad264fdab1ba46a272988658864afb46cf1",
         "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
     ],
     "bench_sgd": [
-        "0328d1a240d3987239f40d6fdd8d2edbf9719ad0f58b3af068d9e98dc300a959",
+        "b6e720d1ac1e58d985943db849635b8f7c5274ff41c8e75cc5d06d4a01789ca3",
         "3ccac84e2bbd52158d405ba0d2fcdb78eba6f79441506c91a75d230bbfb585c7",
     ],
     "bench_lbfgs": [
-        "37f52dfcc4aec96c506488e1c6c3a70a549de6febc8e9d645068134d936cc4a9",
+        "1e2631f75aaca1fb06298dc0a446b2a4044a0effb0861e2dfd4ba477905b726c",
         "36fe2eb7a4ea81851c6cdbb29a5413093882c25b643b4e9cb6943963e7602689",
     ],
     "sampled_sarc_uniform": [
-        "5e29c773bd7a28f70b2d27827668c98772ad3edd0387787b41a7d4f9cda6dda0",
+        "a4a823d6df36888c6c16490d7f685a0ce1c01574d6e99229d66f0707ea15bed3",
         "33b5743e4952ff74f7462e9b1715c058df9e07583db110110c0cc3f4f8dcf33c",
     ],
     "sampled_sarc_nonuniform": [
-        "cbc369055e32be2c2040748732360a2cb396c263b5b4371361546e86f3ea5a68",
+        "95615b8245a9f291943739caee77b17359eb205bf4e81dc3a9e2f96a503ce777",
         "23bd934248a4259b9b875ec586e917ddfd541a45f64a8f24be0727796e3660ad",
     ],
     "sampled_saarc_uniform": [
-        "a08907a9fb719bfbf447fff0ca0f26d003a70bdb9de13760e2d3a9caf9ec683d",
+        "c5a286ba03b9f831981c34c5c81cc502d409d85859f38eacd0403f8c5f529613",
         "6ff7225e04736795f573075b38603af4ea3684b023ff75f79faa878785013f65",
     ],
     "sampled_saarc_nonuniform": [
-        "f44d325b26e417a25a811a4bac987b0045962ce8a9389e83f54218c42bf96066",
+        "28a8970baedef9550c2da40909c40cd519577bacd9e647acd50d49fb0f5c8992",
         "7a070287af7f6575000a2fa410a77c29323089002c60ccd4a3b5961d49df73de",
     ],
     "sampled_sacr_uniform": [
-        "787834e009c42f872b46ff84787d1292eba9c9d63a69fe8c4d61174670363034",
+        "bbe0326f42285e6ac644253d216f5960b541474e18fd341b1384be23634e7541",
         "bf73214b8d21d6bb612ff3ba80bed1e867dcdb1f4ab42318d3159e06c9de117d",
     ],
     "sampled_sacr_nonuniform": [
-        "ebb011cf4b5178b6375eaf833f4d3e322c63167769c2aceb0ee0bbc202b230e2",
+        "46492bfe0e11b3ab1f2a8499f17ff2aae68bb0c04c059a2abb2250eb5ff55213",
         "ffe8a5a0de04473f32d39f6c273ba4aa01bb9e166705620bcc831c37b3bf8cde",
     ],
     "bench_sarc_nonuniform": [
-        "105d604ef9a8e795e81e3eccc4a27d0165f3c1c57c6256125a8318b56f6d29ab",
+        "ffc2c4cc7851222ffa2808caaa76cf2cfe29b7b96b40a7d8d71c6eae5e7a6a14",
         "4e668a27b30c999fc7e67a21d61cca29af9348c8e2610ff7df5a36ee44a87858",
     ],
     "bench_saarc_nonuniform": [
-        "d04ab9d6a2f81be61a97c5182cee6e2ea86b0beddce35b4a2cfa4e5cea63f8aa",
+        "c6bf427342a2bc4f6a63522fd6b5b29a1f831c81bd7b20310b0c65fcaaa949e9",
         "68e08ecbe6d97decc2974202cc157a241d5c4d13e796202c520438068b29c04c",
     ],
     "bench_sacr_nonuniform": [
-        "0d7612cd787f7e1280d83baad729d2efe9fdaa2b311e695505efd1728e95d178",
+        "a6f4cdc3d1da4e9fb53a35a12c00ab29c71b42ec66d349298539b52e69a97336",
         "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
     ],
     "family_svm_sarc_uniform": [

@@ -39,6 +39,20 @@ from oracles import (
 
 ALL_FAMILIES = ("ridge_least_squares", "reg_logistic", "nonconvex_svm", "pca_quadratic")
 
+# Each family's link and slope as plain whole-array formulas, for the maps'
+# in-place and out= forms to match bit for bit.
+def _logistic_link_formula(t, b):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(b * t))
+
+
+FORMULAS = {
+    "ridge_least_squares": (lambda t, b: t, lambda t, b, u: 2.0 * (t - b)),
+    "reg_logistic": (_logistic_link_formula, lambda t, b, s: -b * s),
+    "nonconvex_svm": (lambda t, b: np.tanh(b * t), lambda t, b, u: -b * (1.0 - u * u)),
+    "pca_quadratic": (lambda t, b: t, lambda t, b, u: -u),
+}
+
 
 def _instance(rng, family):
     if family == "pca_quadratic":
@@ -187,16 +201,37 @@ class TestLogisticMaps:
             if exact >= Decimal(np.finfo(float).tiny):
                 assert abs(Decimal(float(v)) - exact) <= Decimal(np.spacing(float(exact))), z
 
-    def test_link_is_expit_of_minus_b_t_bit_for_bit(self):
-        # -(b t) equals (-b) t bit for bit: IEEE products are sign-symmetric
+    def test_link_is_one_over_one_plus_exp_b_t_bit_for_bit(self):
+        # expit(z) is 1/(1 + exp(-z)) in scipy too; at z = -b t the link
+        # takes exp(b t) from numpy's SIMD exp, which rounds differently from
+        # the C library's on some inputs, so it stays within 2 ulps of expit
         tiny = np.finfo(float).smallest_subnormal
         edges = [0.0, -0.0, 700.0, -700.0, tiny, -tiny, 7 * tiny, -1e-310, 1e-310,
                  745.0, -745.0, 1e300, -1e300]
         rng = np.random.default_rng(13)
-        t = np.concatenate([edges, rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000)])
+        t = np.concatenate([edges, rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000),
+                            np.linspace(-760.0, 760.0, 20001)])
         for b in (rng.choice([-1.0, 1.0], t.size), rng.choice([0.5, -3.0, -0.0], t.size)):
-            assert self.LOGISTIC.link(t, b).tobytes() == expit(-b * t).tobytes()
-        assert self.LOGISTIC.link(0.5, -1.0) == expit(0.5)  # scalars too
+            link = self.LOGISTIC.link(t, b)
+            with np.errstate(over="ignore"):
+                assert link.tobytes() == (1.0 / (1.0 + np.exp(b * t))).tobytes()
+            # both lie in [0, 1], where the gap between the bit patterns
+            # counts the ulps between them
+            assert np.all(np.abs(link.view(np.int64) - expit(-b * t).view(np.int64)) <= 2)
+        scalar = self.LOGISTIC.link(0.5, -1.0)  # scalars too
+        assert scalar == 1.0 / (1.0 + np.exp(-0.5))
+        assert abs(scalar - expit(0.5)) <= 2 * np.spacing(expit(0.5))
+
+    def test_value_is_the_softplus_formula_bit_for_bit(self):
+        # max(-b t, 0) + log1p(exp(-|b t|)) as written, against the value's
+        # in-place form, which takes max(-b t, 0) as -min(b t, 0)
+        b = np.where(np.arange(self.Z.size) % 2 == 0, 1.0, -1.0)
+        for t in (-b * self.Z, np.random.default_rng(14).standard_normal(4000) * 30.0):
+            bb = np.resize(b, t.size)
+            z = -(bb * t)
+            formula = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+            value = self.LOGISTIC.value(t, bb, self.LOGISTIC.link(t, bb))
+            assert value.tobytes() == formula.tobytes()
 
     def test_curvature_is_the_general_formula_bit_for_bit(self):
         rng = np.random.default_rng(12)
@@ -425,6 +460,13 @@ class TestProductPair:
                 fam = GLM_FAMILIES[family]
                 t = pair.matvec(x)
                 link = fam.link(t, b)
+                link_formula, slope_formula = FORMULAS[family]
+                assert link.tobytes() == link_formula(t, b).tobytes()
+                out = np.full(n, np.nan)
+                assert fam.link(t, b, out=out) is out and out.tobytes() == link.tobytes()
+                slope = slope_formula(t, b, link)
+                assert fam.slope(t, b, link).tobytes() == slope.tobytes()
+                assert fam.slope(t, b, link, out=out) is out and out.tobytes() == slope.tobytes()
                 composed = pair.rmatvec(fam.slope(t, b, link)) / n
                 fused = LossModel(family, 0.01, ds)
                 lazy = LossModel(family, 0.01, ds)

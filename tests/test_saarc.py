@@ -4,6 +4,7 @@ import scipy.optimize
 
 from sarc.bench import exit_code
 from sarc.data import synth_logistic
+from sarc import saarc_driver
 from sarc.problems import Dataset, LossModel
 from sarc.saarc_driver import (
     EstimatingSequence,
@@ -283,6 +284,25 @@ class TestSaarcRun:
         assert state.status == "sequence_growth_failed"
         assert exit_code(state.status) == 1
         assert state.trace[-1].success is False and state.trace[-1].phase == "two"
+
+    def test_failed_audit_ends_the_run_with_a_named_status(self, monkeypatch):
+        # z off the minimizer of psi: the audit's residual check fails inside
+        # the run loop, which ends the run with a status, not an exception
+        real = saarc_driver.grow_varsigma
+
+        def off_minimizer(seq, threshold, gamma3):
+            z, growths = real(seq, threshold, gamma3)
+            return z + 1.0, growths
+
+        monkeypatch.setattr(saarc_driver, "grow_varsigma", off_minimizer)
+        model = _quadratic_model(seed=7)
+        cfg = SolverConfig(exact_hessian=True, max_iters=30)
+        state = saarc_run(model, cfg, np.full(5, 2.0))
+        assert state.status == "sequence_audit_failed"
+        assert exit_code(state.status) == 1
+        last, before = state.trace[-1], state.trace[-2]
+        assert last.success is False and last.phase == "two"
+        assert last.f == before.f and last.iteration == before.iteration + 1
 
     def test_gradient_epochs_charged_even_on_rejection(self):
         # every phase-two trial evaluates a gradient at y+s before the rho test

@@ -30,6 +30,7 @@ from sarc.sampling import (
 
 from oracles import (
     always_sweep_plan,
+    counted_build,
     dense_hessian,
     lemma_nonuniform_bound,
     lemma_uniform_bound,
@@ -476,6 +477,73 @@ class TestWeightsUnbiased:
         live = p > 0.0
         tol = (6.0 * np.sqrt(m * p[live]) + 6.0) / (n * m * p[live])
         assert np.all(np.abs(w[live] - 1.0 / n) <= tol)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBuildCounts:
+    """A sampled build reads its distinct rows and their counts off the runs
+    of the sorted draw, and an exact build scales the curvature by 1/n: both
+    keep the bits of a bincount over all n rows and of the weight array
+    np.full(n, 1/n) (`oracles.counted_build`)."""
+
+    @staticmethod
+    def _model(family, n, seed):
+        rng = np.random.default_rng(seed)
+        if family == "pca_quadratic":
+            return random_pca_instance(rng, n=n, d=3)
+        return random_glm_instance(rng, family, n=n, d=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sampled_build_matches_a_bincount_over_all_rows(self, data):
+        family = data.draw(st.sampled_from(FAMILIES))
+        n = data.draw(st.integers(1, 40))
+        size = data.draw(st.integers(1, 3 * n))  # below, at and above n
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        model, x = self._model(family, n, seed)
+        if data.draw(st.booleans()):
+            # rows with zero probability, and at least one without
+            weights = data.draw(hnp.arrays(float, n, elements=st.sampled_from([0.0])
+                                           | st.floats(1e-3, 1.0)))
+            weights[data.draw(st.integers(0, n - 1))] += 1e-3
+            plan = SamplingPlan(size, False, probabilities=weights / weights.sum())
+        else:
+            plan = SamplingPlan(size, False)
+        op = SubsampledHessian(model, x, plan, SampleStream(seed), shift=0.0)
+        idx, w, coeffs, diag = counted_build(model, x, plan, SampleStream(seed))
+        assert _same_bits(op.indices, idx)
+        assert _same_bits(op._weights, w)
+        assert _same_bits(op._coeffs, coeffs)
+        assert _same_bits(op._diag, diag)
+
+    @pytest.mark.parametrize("n, p, row", [(1, None, 0), (5, [0.0, 0.0, 1.0, 0.0, 0.0], 2)])
+    def test_a_single_distinct_row(self, n, p, row):
+        # every draw lands on one row: a uniform draw over one row, or the
+        # only row with positive probability
+        model, x = self._model("reg_logistic", n, 3)
+        plan = SamplingPlan(7, False, probabilities=None if p is None else np.array(p))
+        op = SubsampledHessian(model, x, plan, SampleStream(0), shift=0.0)
+        idx, w, coeffs, diag = counted_build(model, x, plan, SampleStream(0))
+        assert op.indices.tolist() == [row] and _same_bits(op.indices, idx)
+        assert _same_bits(op._weights, w) and _same_bits(op._coeffs, coeffs)
+        assert _same_bits(op._diag, diag)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [1, 3, 7, 10, 49, 129, 1000, 8193, 200_003])
+    def test_exact_build_matches_the_weight_array(self, family, n):
+        # numpy's pairwise sum of n copies of 1/n misses 1 in the last bit at
+        # some n; the build keeps that sum's bits
+        model, x = self._model(family, n, n)
+        op = SubsampledHessian(model, x, SamplingPlan(n, True), shift=0.0)
+        idx, w, coeffs, diag = counted_build(model, x, SamplingPlan(n, True), None)
+        assert _same_bits(op.indices, idx)
+        assert _same_bits(op._coeffs, coeffs)
+        assert _same_bits(op._diag, diag)
+        assert op._weights == 1.0 / n
 
 
 class TestHessianBuildCache:
