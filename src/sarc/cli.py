@@ -21,7 +21,6 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from itertools import repeat
 
 from .bench import ALGORITHMS, RunSpec, exit_code, load_dataset, run_benchmark
 from .problems import Dataset
@@ -150,6 +149,20 @@ def _run_one(spec: RunSpec, dataset: Dataset) -> tuple[str, int, str | None]:
     return line, exit_code(result.status), None
 
 
+# The grid's dataset in a worker process, set once by the pool's initializer
+# so that no cell pickles it again.
+_worker_dataset: Dataset | None = None
+
+
+def _hold(dataset: Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_cell(spec: RunSpec) -> tuple[str, int, str | None]:
+    return _run_one(spec, _worker_dataset)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -162,8 +175,9 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         if args.jobs > 1 and len(specs) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_run_one, specs, repeat(dataset)))
+            with ProcessPoolExecutor(max_workers=args.jobs, initializer=_hold,
+                                     initargs=(dataset,)) as pool:
+                rows = list(pool.map(_run_cell, specs))
         else:
             rows = [_run_one(spec, dataset) for spec in specs]
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -124,7 +124,8 @@ def synth_logistic(
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     rng = np.random.default_rng(np.random.Philox(key=seed))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        A = scale * rng.standard_normal((n, d))
+        A = rng.standard_normal((n, d))
+        A *= scale  # IEEE products commute: the bits of scale * A, without a copy
         A[0] *= skew
         w = rng.standard_normal(d) / np.sqrt(d)
         margins = A @ w

@@ -239,22 +239,59 @@ class ProductPair:
         return ProductPair(sub, sub.T)
 
 
+def _csr_from_dense(A: np.ndarray) -> sp.csr_matrix:
+    """sp.csr_matrix(A) for a 2-D float array, with the same data, indices,
+    indptr and index dtype, built from the mask A != 0 without COO's pair of
+    coordinate arrays."""
+    if A.ndim != 2:
+        raise ValueError(f"dense data must be 2-D, got {A.ndim}-D")
+    n, d = A.shape
+    keep = A != 0
+    idx = sp.get_index_dtype(maxval=max(n, d, np.count_nonzero(keep)))
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.sum(keep, axis=1, dtype=idx, out=indptr[1:])
+    np.cumsum(indptr[1:], out=indptr[1:])
+    indices = np.broadcast_to(np.arange(d, dtype=idx), (n, d))[keep]
+    return sp.csr_matrix((A[keep], indices, indptr), shape=(n, d))
+
+
+def _csr_blocks(A: sp.csr_matrix):
+    """(rows, A[rows]) for blocks of BLOCK_ROWS rows, in row order.
+
+    A CSR that stores a duplicate entry comes as one block: scipy's
+    element-wise product then orders each row's products by another rule
+    than for a canonical CSR, so a block without duplicates would change the
+    bits of its row norms."""
+    n = A.shape[0]
+    step = BLOCK_ROWS if A.has_canonical_format else n
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        yield rows, A[rows]
+
+
 @dataclass
 class Dataset:
     """Observations (a_i, b_i): A is stored as CSR with sorted indices.
 
+    A float64 CSR and a float64 b are held as given, without a copy, and A's
+    indices are sorted in place; any other A is converted once (a dense
+    array through the mask of its nonzeros).
+
     Products with A go through `products()`, built on first use: dense data
     is read column-major and sparse data as CSR beside a CSR copy of A^T, so
-    a pass costs O(n d) or O(nnz) in the layout each product streams.
+    a pass costs O(n d) or O(nnz) in the layout each product streams. The
+    column-major copy and the row norms are filled one block of rows at a
+    time, so building them holds no more than the result and one block.
     """
 
     A: sp.csr_matrix
     b: np.ndarray
 
     def __post_init__(self):
-        if not sp.issparse(self.A):
-            self.A = sp.csr_matrix(np.atleast_2d(np.asarray(self.A, dtype=float)))
-        self.A = self.A.tocsr().astype(float)
+        if sp.issparse(self.A):
+            self.A = self.A.tocsr().astype(float, copy=False)
+        else:
+            self.A = _csr_from_dense(np.atleast_2d(np.asarray(self.A, dtype=float)))
         self.A.sort_indices()
         self.b = np.asarray(self.b, dtype=float).ravel()
         if self.A.shape[0] < 1 or self.A.shape[1] < 1:
@@ -275,8 +312,15 @@ class Dataset:
         return self.A.shape[1]
 
     def row_sq_norms(self) -> np.ndarray:
+        """A.multiply(A).sum(axis=1), one block of rows at a time: each row is
+        its own reduceat segment, so the bits are those of the whole matrix.
+        A norm that overflows is inf."""
         if not hasattr(self, "_row_sq"):
-            self._row_sq = np.asarray(self.A.multiply(self.A).sum(axis=1)).ravel()
+            sq = np.empty(self.n)
+            with np.errstate(over="ignore"):
+                for rows, block in _csr_blocks(self.A):
+                    sq[rows] = np.asarray(block.multiply(block).sum(axis=1)).ravel()
+            self._row_sq = sq
         return self._row_sq
 
     def products(self) -> ProductPair:
@@ -284,14 +328,17 @@ class Dataset:
         entries is read as a column-major copy, which is then no larger."""
         if not hasattr(self, "_products"):
             if 3 * self.A.nnz >= 2 * self.n * self.d:
-                self._products = ProductPair(self.A.toarray(order="F"))
+                M = np.empty((self.n, self.d), order="F")
+                for rows, block in _csr_blocks(self.A):
+                    M[rows] = block.toarray()
+                self._products = ProductPair(M)
             else:
                 self._products = ProductPair(self.A, self.A.T.tocsr())
         return self._products
 
     @classmethod
     def from_dense(cls, A, b) -> "Dataset":
-        return cls(sp.csr_matrix(np.atleast_2d(np.asarray(A, dtype=float))), b)
+        return cls(A, b)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

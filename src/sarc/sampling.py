@@ -188,7 +188,9 @@ class SampleStream:
             raise ValueError(f"probabilities of shape {p.shape} for {n} rows")
         cdf = p.cumsum()
         cdf /= cdf[-1]
-        return cdf.searchsorted(np.sort(self._gen.random(plan.size)), side="right")
+        u = self._gen.random(plan.size)
+        u.sort()
+        return cdf.searchsorted(u, side="right")
 
 
 def _runs(draw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -162,7 +162,9 @@ class SolverState:
 
 
 def _build(state: SolverState, model: LossModel, config: SolverConfig, point: np.ndarray):
-    """Sample a fresh Hessian operator at `point` and charge its build."""
+    """Sample a fresh Hessian operator at `point` and charge its build. The
+    old operator is released first, so two are never held at once."""
+    state.H = None
     # union bound over the O(eps^{-1/2}) (sarc) or O(eps^{-1/3}) (accelerated)
     # iteration budget
     if state.phase == "sarc":

@@ -10,6 +10,7 @@ operators, so agreement is meaningful. The dense references refuse d above
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,6 +112,18 @@ def snapshot(ledger) -> dict:
         "hessian_queries": ledger.component_hessian_queries,
         "epochs": ledger.epochs,
     }
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory it allocated while it ran, in bytes,
+    as tracemalloc sees it (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def lemma_uniform_bound(eps: float, delta: float, L: float, d: int) -> float:

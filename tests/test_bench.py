@@ -475,6 +475,27 @@ class TestCliGrid:
         assert code == 0 and len(capsys.readouterr().out.splitlines()) == 4
         assert calls == [(None, (200, 4, 0, 1.0))]
 
+    def test_parallel_grid_pickles_the_dataset_at_most_once_per_worker(
+            self, tmp_path, capsys, monkeypatch):
+        pickles = []
+
+        def getstate(dataset):
+            pickles.append(1)
+            return object.__getstate__(dataset)
+
+        monkeypatch.setattr(Dataset, "__getstate__", getstate, raising=False)
+        runs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            out.mkdir()
+            code = cli.main(["run", "--algo", "sarc,cr", "--synth", "200,4,0,1", "--x0-std", "1",
+                             "--max-iters", "30", "--seed", "0,1", "--jobs", str(jobs),
+                             "--out", str(out / "{algo}_{seed}.csv")])
+            rows = capsys.readouterr().out.replace(str(out), "").splitlines()
+            runs[jobs] = code, rows, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert len(pickles) <= 2
+        assert runs[1] == runs[2] and len(runs[1][1]) == 4 and len(runs[1][2]) == 4
+
     def test_cubic_rows_carry_unmet_counts(self, tmp_path, capsys):
         out = str(tmp_path / "{algo}.csv")
         code = cli.main(["run", "--algo", "sarc,cr,sgd", "--synth", "200,4,0,1", "--x0-std", "1",

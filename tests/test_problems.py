@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from sarc.problems import (
+    BLOCK_ROWS,
     GLM_FAMILIES,
     Dataset,
     LossModel,
@@ -35,6 +36,7 @@ from oracles import (
     random_pca_instance,
     row,
     scalar_second_derivative,
+    traced_peak,
 )
 
 ALL_FAMILIES = ("ridge_least_squares", "reg_logistic", "nonconvex_svm", "pca_quadratic")
@@ -291,8 +293,10 @@ class TestValidation:
             Dataset.from_dense([[1.0], [2.0]], [1.0])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset.from_dense([[np.nan]], [1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            for A in ([[bad]], [[0.0, 1.0], [2.0, bad], [0.0, 0.0]]):
+                with pytest.raises(ValueError, match="^dataset contains non-finite entries$"):
+                    Dataset.from_dense(A, np.ones(len(A)))
 
     def test_logistic_needs_pm1_labels(self):
         with pytest.raises(ValueError):
@@ -477,6 +481,140 @@ class TestProductPair:
                 p = fused.at(x)
                 assert p.t.tobytes() == t.tobytes() and p.link.tobytes() == link.tobytes()
                 assert p.data_gradient.tobytes() == composed.tobytes()
+
+
+_DENSE_ENTRY = (st.floats(-1e3, 1e3, allow_subnormal=False)
+                | st.sampled_from([0.0, -0.0, 5e-324, 1e300]))
+
+
+@st.composite
+def _dense(draw):
+    """A dense array up to 30 x 8 with zeros, -0.0 and all-zero rows and
+    columns, as floats or integers."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        A = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-3, 3)))
+    else:
+        A = draw(hnp.arrays(float, (n, d), elements=_DENSE_ENTRY))
+    A[draw(hnp.arrays(bool, n))] = 0
+    A[:, draw(hnp.arrays(bool, d))] = 0
+    return A
+
+
+# |entry| magnitudes: ordinary, squares that underflow to 0 or to a
+# subnormal, and squares or sums of squares that overflow to inf
+_SCALES = np.array([1.0, 1e-170, 1e-155, 1e154, 1e200])
+
+
+@st.composite
+def _tall_csr(draw):
+    """A CSR whose row count straddles BLOCK_ROWS, or a small one, with empty
+    rows, stored zeros, entries whose squares underflow or overflow, and
+    duplicate entries in half the rows, in the first row alone or in none;
+    the bulk comes from a drawn seed."""
+    n = draw(st.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                              2 * BLOCK_ROWS + 5]) | st.integers(1, 30))
+    d = draw(st.integers(1, 8))
+    dup_share = draw(st.sampled_from([0.0, 0.5]))
+    dup_first = draw(st.booleans())  # alone, it leaves every later block canonical
+    scales = draw(st.lists(st.sampled_from(_SCALES), min_size=1, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 2 * d + 1, n)
+    counts[rng.random(n) < 0.1] = 0  # empty rows
+    dup = rng.random(n) < dup_share
+    dup[0] |= dup_first
+    counts[~dup] = np.minimum(counts[~dup], d)
+    counts[0] = max(counts[0], 2 * dup_first)
+    indices = np.concatenate([rng.integers(0, d, k) if twice else rng.permutation(d)[:k]
+                              for k, twice in zip(counts, dup)])
+    if dup_first:
+        indices[1] = indices[0]
+    nnz = indices.size
+    data = rng.standard_normal(nnz) * rng.choice(scales, nnz)
+    data[rng.random(nnz) < 0.1] = 0.0  # stored zeros
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sp.csr_matrix((data, indices.astype(np.int32), indptr.astype(np.int32)), shape=(n, d))
+
+
+class TestDatasetBuild:
+    """The arrays a Dataset builds from its input keep the bits of the
+    whole-matrix scipy formulas they replace, and hold no more memory than
+    their result and a few blocks of rows while they are built."""
+
+    @settings(max_examples=150)
+    @given(_dense())
+    def test_from_dense_equals_scipy_csr(self, A):
+        ds = Dataset.from_dense(A, np.ones(A.shape[0]))
+        ref = sp.csr_matrix(A.astype(float))
+        for name in ("data", "indices", "indptr"):
+            ours, theirs = getattr(ds.A, name), getattr(ref, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+        assert ds.A.shape == ref.shape
+
+    def test_from_dense_keeps_a_one_dimensional_row_and_rejects_more_dimensions(self):
+        assert Dataset.from_dense([0.0, 2.0], [1.0]).A.toarray().tolist() == [[0.0, 2.0]]
+        with pytest.raises(ValueError, match="^dense data must be 2-D, got 3-D$"):
+            Dataset.from_dense(np.ones((2, 2, 2)), np.ones(2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tall_csr())
+    def test_column_major_copy_and_row_norms_keep_their_bits(self, A):
+        ds = Dataset(A, np.ones(A.shape[0]))
+        if 3 * A.nnz >= 2 * A.shape[0] * A.shape[1]:
+            M = ds.products().M
+            assert M.flags.f_contiguous
+            assert M.tobytes(order="F") == ds.A.toarray(order="F").tobytes(order="F")
+        norms = ds.row_sq_norms()  # an overflow to inf warns nothing: warnings are errors here
+        with np.errstate(over="ignore"):
+            ref = np.asarray(ds.A.multiply(ds.A).sum(axis=1)).ravel()
+        assert norms.tobytes() == ref.tobytes()
+
+    def test_a_duplicate_in_one_block_keeps_every_row_norm(self):
+        # with a duplicate anywhere, scipy's product sums each row in another
+        # order; rows of a later block, which has none, must follow it
+        rng = np.random.default_rng(1)
+        n, d, k = BLOCK_ROWS + 100, 8, 6
+        indices = np.concatenate([[0, 0]] + [np.sort(rng.permutation(d)[:k]) for _ in range(n - 1)])
+        indptr = np.concatenate(([0], 2 + k * np.arange(n)))
+        A = sp.csr_matrix((rng.standard_normal(indices.size), indices, indptr), shape=(n, d))
+        ref = np.asarray(A.multiply(A).sum(axis=1)).ravel()
+        assert Dataset(A, np.ones(n)).row_sq_norms().tobytes() == ref.tobytes()
+
+    def test_row_norm_overflow_is_inf_without_a_warning(self):
+        # each square is finite, their sum is not
+        A = [[1e154, 1e154], [1e200, 0.0], [3.0, 4.0]]
+        assert Dataset.from_dense(A, np.ones(3)).row_sq_norms().tolist() == [np.inf, np.inf, 25.0]
+
+    @staticmethod
+    def _dataset(n=100_000, d=10):
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((n, d)), np.ones(n)
+
+    def test_from_dense_holds_little_beyond_its_result(self):
+        A, b = self._dataset()
+        ds, peak = traced_peak(lambda: Dataset.from_dense(A, b))
+        result = ds.A.data.nbytes + ds.A.indices.nbytes + ds.A.indptr.nbytes
+        assert peak <= 1.2 * result
+
+    @pytest.mark.parametrize("build", ["products", "row_sq_norms"])
+    def test_column_major_copy_and_row_norms_hold_a_few_blocks(self, build):
+        ds = Dataset.from_dense(*self._dataset())
+        block = BLOCK_ROWS * ds.d * 12  # a CSR block: 8 bytes of value, 4 of index per entry
+        result, peak = traced_peak(getattr(ds, build))
+        size = result.M.nbytes if build == "products" else result.nbytes
+        assert peak <= size + 4 * block
+
+    def test_float_csr_and_labels_are_held_without_a_copy(self):
+        A = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 2, 3])),
+                          shape=(2, 3))
+        b = np.array([1.0, -1.0])
+        ds = Dataset(A, b)
+        assert ds.A is A and np.shares_memory(ds.b, b)
+        assert A.indices.tolist() == [0, 2, 1]  # sorted in place
+        assert A.data.tolist() == [2.0, 1.0, 3.0]
+        ints = sp.csr_matrix(np.array([[0, 4], [5, 0]]))
+        held = Dataset(ints, np.ones(2)).A
+        assert held.dtype == float and not np.shares_memory(held.data, ints.data)
 
 
 # Products and a sampled saarc trace on dense data above OpenBLAS's threading
