@@ -14,14 +14,17 @@ lambda in (max(0, -lambda_min(T)), infinity). The subspace iterate is globally
 optimal over span(Q) by construction, which supplies the subspace-optimality
 clause of the stronger termination condition for free.
 
-Each secular solve first tries an O(k) L D L^T factorization of T (LAPACK
-dpttrf). When it succeeds, T is positive definite, as on every convex
-problem, so the barrier is 0, the hard case cannot occur, and each Newton
-step factors T + lambda I once. Only an indefinite or singular T pays for
-its minimal eigenpair (eigh_tridiagonal), the deflated shifted solves and
-the hard-case probe. The Newton iteration of each solve starts from the
-previous solve's lambda = sigma ||y|| when that lies inside the new bracket,
-as in GLTR: T_k extends T_{k-1} by one row, so the root moves little.
+Every shifted system T + lambda I of a secular solve is factored by one
+O(k) L D L^T factorization (LAPACK dpttrf), once per Newton step. It first
+tries lambda = 0. When that succeeds, T is positive definite, as on every
+convex problem, so the barrier is 0 and the hard case cannot occur. Only an
+indefinite or singular T pays for its minimal eigenpair (eigh_tridiagonal):
+its shifts lie right of the barrier, where T + lambda I is positive definite
+again, and the eigenvector is deflated from each solve. The hard case is
+read off the deflated solve of a probe just right of the barrier. The Newton
+iteration of each solve starts from the previous solve's lambda = sigma ||y||
+when that lies inside the new bracket, as in GLTR: T_k extends T_{k-1} by one
+row, so the root moves little.
 
 The termination residual and the model decrease come from the Lanczos
 recurrence H Q_k = Q_k T_k + beta_k q_{k+1} e_k^T (the GLTR / ARC evaluation
@@ -91,16 +94,6 @@ class SubproblemResult:
         return self.status == "converged"
 
 
-def _tridiag_solve(diag, off, lam, rhs):
-    """(T + lam I)^{-1} rhs for symmetric tridiagonal T = tridiag(off, diag, off);
-    ValueError on non-finite input, LinAlgError on a singular system."""
-    ab = np.zeros((3, diag.shape[0]))
-    ab[0, 1:] = off
-    ab[1] = diag + lam
-    ab[2, :-1] = off
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
-
-
 def _tridiag_eig_min(diag, off):
     if diag.shape[0] == 1:
         return float(diag[0]), np.ones(1)
@@ -141,15 +134,16 @@ def solve_tridiagonal_cubic(
     the root's bracket (minimize_model passes its previous solve's
     sigma ||y||), at the middle of the bracket otherwise.
 
-    When LAPACK dpttrf factors T with positive pivots, T is positive
-    definite: the barrier is 0, the hard case cannot occur, and every Newton
-    step on lambda in (0, lambda_hi) takes one O(k) factorization of
-    T + lambda I and two solves with it. Otherwise the minimal eigenpair of T
-    is computed, deflated from every shifted solve and handled analytically,
-    so roots arbitrarily close to the barrier stay resolvable. The hard case
-    (e1 orthogonal to the minimal eigenspace, only possible for reducible T)
-    is resolved by the boundary root plus a null-space step. That branch
-    returns the lstsq solution at the boundary as it is and does not honour
+    Every Newton step on lambda right of the barrier takes one O(k) LAPACK
+    dpttrf factorization of the positive definite T + lambda I and two solves
+    with it; a factorization that rounding fails moves the bracket right.
+    When T itself factors, T is positive definite and the barrier is 0.
+    Otherwise the minimal eigenpair of T is computed, deflated from every
+    shifted solve and handled analytically, so roots arbitrarily close to the
+    barrier stay resolvable. The hard case (e1 orthogonal to the minimal
+    eigenspace, only possible for reducible T) is resolved by the boundary
+    root: the deflated solve of a probe just right of the barrier, plus the
+    null-space step that puts sigma ||y|| on it. That branch does not honour
     `tol`: a smaller `tol` cannot tighten its residual.
 
     Raises SecularSolveError when the root cannot be bracketed or no Newton
@@ -174,15 +168,9 @@ def solve_tridiagonal_cubic(
     rhs = np.zeros(k)
     rhs[0] = -gnorm
 
-    if _pd_solver(diag, off, 0.0) is not None:
+    definite = _pd_solver(diag, off, 0.0) is not None
+    if definite:
         barrier = 0.0
-
-        def shifted(delta):
-            # y at lam = delta and the solver of (T + lam I) z = b it came from
-            solve = _pd_solver(diag, off, delta)
-            if solve is None:
-                raise scipy.linalg.LinAlgError("shifted tridiagonal not positive definite")
-            return solve(rhs), solve
     else:
         lam_min, v_min = _tridiag_eig_min(diag, off)
         barrier = max(0.0, -lam_min)
@@ -190,15 +178,24 @@ def solve_tridiagonal_cubic(
         # delta to full relative precision, never in lam itself
         base = lam_min + barrier  # exactly 0 whenever the barrier is active
 
-        def shifted(delta):
-            def solve(b):
-                # (T + lam I)^{-1} b with the v_min component treated analytically;
-                # the plain solve loses all accuracy in that direction near the barrier
-                c = float(v_min @ b)
-                z = _tridiag_solve(diag, off, barrier + delta, b - c * v_min)
-                z -= float(v_min @ z) * v_min
-                return z + (c / (base + delta)) * v_min
-            return solve(rhs), solve
+    def shifted(delta):
+        # y at lam = barrier + delta and the solver of (T + lam I) z = b it came
+        # from; T + lam I is positive definite for delta > 0, so only rounding
+        # can fail its factorization
+        factored = _pd_solver(diag, off, barrier + delta)
+        if factored is None:
+            raise scipy.linalg.LinAlgError("shifted tridiagonal not positive definite")
+        if definite:
+            return factored(rhs), factored
+
+        def solve(b):
+            # (T + lam I)^{-1} b with the v_min component treated analytically;
+            # the plain solve loses all accuracy in that direction near the barrier
+            c = float(v_min @ b)
+            z = factored(b - c * v_min)
+            z -= float(v_min @ z) * v_min
+            return z + (c / (base + delta)) * v_min
+        return solve(rhs), solve
 
     if gnorm == 0.0:
         return (barrier / sigma) * v_min if barrier > 0.0 else np.zeros(k)
@@ -209,11 +206,13 @@ def solve_tridiagonal_cubic(
     # provable root bound: (lambda - ||T||)^2 <= sigma*gnorm at the root
     lam_hi = tnorm + np.sqrt(sigma * gnorm)
 
-    # probe just right of the barrier to detect the hard case
-    d_probe = max(barrier, 1.0) * 1e-13
+    # probe just right of the barrier to detect the hard case, at 1e-13 of the
+    # scale ||T|| at which the barrier and the factorization are rounded: a
+    # shift closer to the barrier may not factor
+    d_probe = max(tnorm, 1.0) * 1e-13
     if barrier > 0.0:
         try:
-            y_p, _ = shifted(d_probe)
+            y_p, solve_p = shifted(d_probe)
             hard = sigma * np.linalg.norm(y_p) <= barrier + d_probe
         except scipy.linalg.LinAlgError:
             hard = False
@@ -221,17 +220,14 @@ def solve_tridiagonal_cubic(
         hard = False
 
     if hard:
-        # boundary root lambda = barrier; pseudo-inverse solution plus
-        # null-space component scaled so sigma*||y|| = barrier
-        T = np.diag(diag)
-        if k > 1:
-            T += np.diag(off, 1) + np.diag(off, -1)
-        rhs_perp = rhs - float(v_min @ rhs) * v_min
-        y0, *_ = np.linalg.lstsq(T + barrier * np.eye(k), rhs_perp, rcond=None)
-        radius = barrier / sigma
-        gap = radius**2 - float(y0 @ y0)
-        tau = np.sqrt(gap) if gap > 0.0 else 0.0
-        return y0 + tau * v_min
+        # boundary root lambda = barrier: the probe's solve without its v_min
+        # part, moved from the probe's shift to the barrier to first order
+        # (dz/d lambda = -(T + lambda I)^{-1} z), plus the v_min component that
+        # puts sigma*||y|| on the barrier
+        y0 = y_p - float(v_min @ y_p) * v_min
+        y0 += d_probe * solve_p(y0)
+        gap = (barrier / sigma) ** 2 - float(y0 @ y0)
+        return y0 + (np.sqrt(gap) if gap > 0.0 else 0.0) * v_min
 
     d_lo, d_hi = 0.0, max(lam_hi - barrier, np.sqrt(sigma * gnorm))
     # phi(d_hi) must be positive; expand defensively against rounding in lam_hi

@@ -2,15 +2,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sarc import cubic
 from sarc.cubic import (
     THRESHOLD_FLOOR,
     THRESHOLDS,
-    _tridiag_solve,
+    _pd_solver,
     minimize_model,
     solve_tridiagonal_cubic,
 )
@@ -108,21 +107,30 @@ def _agree(y, other, lam_min, sigma, tol):
 class TestPositiveDefiniteSolve:
     @settings(max_examples=200)
     @given(_spd_subproblems())
+    # a gap of 3.2e-8 above the oracle's value, which tol = 1e-4 of the scale allows
+    @example((np.array([2.1, 2.1]), np.array([1.75]), 1.0, 1.0, -4.0))
     def test_global_min_and_tol_bound(self, problem):
-        diag, off, gnorm, sigma, tol, _, y = _spd_case(problem)
+        diag, off, gnorm, sigma, tol, lam_min, y = _spd_case(problem)
         T = _tridiag_dense(diag, off)
         g = np.zeros(diag.shape[0])
         g[0] = gnorm
         val = lambda z: float(g @ z + 0.5 * z @ T @ z + sigma / 3.0 * np.linalg.norm(z) ** 3)
         y_star, _ = cubic_global_min(T, g, sigma)
-        assert val(y) <= val(y_star) + 1e-8 * max(1.0, abs(val(y_star)))
+        # m is lambda_min(T)-strongly convex, so a gradient of norm at most tol
+        # puts m(y) within tol^2 / (2 lambda_min(T)) of the minimum
+        gap = tol**2 / (2.0 * lam_min) + 1e-12 * max(1.0, abs(val(y_star)))
+        assert val(y) <= val(y_star) + gap
         assert _stationarity(diag, off, gnorm, sigma, y) <= tol
 
     @settings(max_examples=200)
     @given(_spd_subproblems())
     def test_agrees_with_the_eigensolve_path(self, problem):
         diag, off, gnorm, sigma, tol, lam_min, y = _spd_case(problem)
-        with mock.patch.object(cubic, "_pd_solver", return_value=None):
+        real = cubic._pd_solver
+        # fail only the definiteness test at lambda = 0; the eigenpair path
+        # factors its shifted systems with the same solver
+        indefinite = lambda d, o, lam: None if lam == 0.0 else real(d, o, lam)
+        with mock.patch.object(cubic, "_pd_solver", indefinite):
             y_eig = solve_tridiagonal_cubic(diag, off, gnorm, sigma, tol=tol)
         assert _stationarity(diag, off, gnorm, sigma, y_eig) <= tol
         assert _agree(y, y_eig, lam_min, sigma, tol)
@@ -182,6 +190,29 @@ class TestTridiagonalSolve:
         assert y[0] == pytest.approx(-0.25, abs=1e-10)
         assert abs(y[1]) == pytest.approx(np.sqrt(9.0 - 1.0 / 16.0), abs=1e-8)
         assert _stationarity(diag, off, 1.0, 1.0, y) < 1e-8
+
+    @pytest.mark.parametrize("diag, off, gnorm, sigma", [
+        # e1's block is coupled to the rest by 2e-27: without the hard-case
+        # step the Newton iteration stops at a far worse stationary point
+        ([0.0] * 5, [1.0, 1.97701495e-27, 0.5, 2.0], 1.0, 1.0),
+        ([0.0] * 5, [1.0, 1.97701495e-27, 0.5, 2.0], 0.1, 0.3),
+        # a barrier of 2 under ||T|| = 1e6: the probe must sit above the
+        # factorization's rounding, which scales with ||T||, not the barrier
+        ([1.0, 1e6, 0.0], [0.0, np.sqrt(2000004.0)], 1.0, 1.0),
+    ])
+    def test_near_hard_case_reaches_the_global_min(self, diag, off, gnorm, sigma):
+        diag, off = np.array(diag), np.array(off)
+        T = _tridiag_dense(diag, off)
+        g = np.zeros(diag.shape[0])
+        g[0] = gnorm
+        val = lambda z: float(g @ z + 0.5 * z @ T @ z + sigma / 3.0 * np.linalg.norm(z) ** 3)
+        y = solve_tridiagonal_cubic(diag, off, gnorm, sigma)
+        _, best = cubic_global_min(T, g, sigma)
+        assert val(y) <= best + 1e-8 * max(1.0, abs(best))
+        # stationary to within a few roundings of the residual's scale
+        w = np.linalg.norm(y)
+        scale = gnorm + (np.linalg.norm(T, 2) + sigma * w) * w
+        assert _stationarity(diag, off, gnorm, sigma, y) <= 1e-15 * scale
 
     def test_zero_gradient_branches(self):
         y = solve_tridiagonal_cubic(np.array([1.0, 2.0]), np.array([0.0]), 0.0, 1.0)
@@ -262,23 +293,23 @@ class TestTridiagonalSolve:
                 solve_tridiagonal_cubic(one, none, 1.0, 1.0, tol=tol)
 
 
-class TestTridiagSolve:
-    def test_singular_raises_linalg_error(self):
-        with pytest.raises(scipy.linalg.LinAlgError):
-            _tridiag_solve(np.array([1.0, 1.0]), np.array([1.0]), 0.0, np.ones(2))
+class TestPdSolver:
+    def test_indefinite_shift_gives_none(self):
+        diag, off = np.array([1.0, -3.0, 2.0]), np.array([0.5, 0.5])
+        assert _pd_solver(diag, off, 0.0) is None
+        assert _pd_solver(np.array([-1.0]), np.array([]), 0.5) is None
+        assert _pd_solver(diag, off, 4.0) is not None
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_raises_value_error(self, bad):
-        diag, off, rhs = np.array([2.0, 3.0, 4.0]), np.array([1.0, 1.0]), np.ones(3)
-        for args in (
-            (np.array([2.0, bad, 4.0]), off, 0.0, rhs),
-            (diag, np.array([1.0, bad]), 0.0, rhs),
-            (diag, off, bad, rhs),
-            (diag, off, 0.0, np.array([1.0, 1.0, bad])),
-            (np.array([bad]), np.array([]), 0.0, np.ones(1)),
-        ):
-            with pytest.raises(ValueError):
-                _tridiag_solve(*args)
+    @pytest.mark.parametrize("k", [1, 2, 40])
+    def test_solves_a_positive_definite_shift(self, k):
+        rng = np.random.default_rng(k)
+        diag, off = rng.standard_normal(k), rng.standard_normal(k - 1)
+        T = _tridiag_dense(diag, off)
+        lam = 1.0 - np.linalg.eigvalsh(T)[0]
+        b = rng.standard_normal(k)
+        x = _pd_solver(diag, off, lam)(b)
+        np.testing.assert_allclose(x, np.linalg.solve(T + lam * np.eye(k), b),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestModelPieces:

@@ -166,7 +166,7 @@ GOLDEN = {
         "9b15cb68a38bb356a3a97e7e67dc659a0d2a1428b8f455c93076bba5d41c954a",
     ],
     "family_svm_sarc_uniform": [
-        "51b7b3905c405128cd1aed5f28c26fc234dfd7a3e8e7e553887b2ade832119bf",
+        "a3bb4eb2e4cfea24bd3bc7b60ca67ff5d0ad1eb00c822dc74edc035a8d4fbf8b",
         "94b71a1763c3efac61ca8f76f10df6d9d5590dd6b4e96f1362ebba7116266790",
     ],
     "family_svm_saarc_nonuniform": [
