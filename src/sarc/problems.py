@@ -152,35 +152,33 @@ class DegenerateCurvatureError(ValueError):
 BLOCK_ROWS = 8192
 
 
-@dataclass(frozen=True, eq=False)
+def _row_blocks(n: int) -> list[slice]:
+    """The blocks of rows every pass over n rows of A reads, in row order:
+    BLOCK_ROWS rows each up to the last multiple of 8, then the last n % 8."""
+    starts = [*range(0, n - n % 8, BLOCK_ROWS), n - n % 8, n]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:]) if hi > lo]
+
+
 class ProductPair:
     """A v and A^T u over a block of the data's rows, in the layout each
     product streams.
 
     Dense rows are a column-major `M` and `MT` is None. Every product reads
-    them in the same fixed `blocks`: A v is BLAS dgemv per block, written
-    straight into its rows of the result, and A^T u sums one ddot per column
-    and block (numpy's vecdot), block after block in row order. Sparse rows
-    are CSR beside A^T in `MT`: a CSR copy for the whole matrix, whose gather
-    has the bits of the CSC scatter `M.T @ u` in less time, or the free view
-    `M.T` for sampled rows; they are read whole, as one block.
+    them in the same fixed `blocks`, (rows, A[rows]) over `_row_blocks`: A v
+    is BLAS dgemv per block, written straight into its rows of the result,
+    and A^T u sums one ddot per column and block (numpy's vecdot), block
+    after block in row order. Sparse rows are CSR beside A^T in `MT`: a CSR
+    copy for the whole matrix, whose gather has the bits of the CSC scatter
+    `M.T @ u` in less time, or the free view `M.T` for sampled rows; they are
+    read whole, as one block that is `M` itself.
     """
 
-    M: np.ndarray | sp.csr_matrix
-    MT: sp.spmatrix | None = None
-    # (rows, A[rows]) for each block, in row order: dense blocks of
-    # BLOCK_ROWS rows each, up to a multiple of 8, then the last n % 8 rows
-    blocks: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = self.M.shape[0]
-        if self.MT is None:
-            starts = [*range(0, n - n % 8, BLOCK_ROWS), n - n % 8, n]
-            blocks = [(slice(lo, hi), self.M[lo:hi])
-                      for lo, hi in zip(starts, starts[1:]) if hi > lo]
+    def __init__(self, M: np.ndarray | sp.csr_matrix, MT: sp.spmatrix | None = None):
+        self.M, self.MT = M, MT
+        if MT is None:
+            self.blocks = [(rows, M[rows]) for rows in _row_blocks(M.shape[0])]
         else:
-            blocks = [(slice(0, n), self.M)]
-        object.__setattr__(self, "blocks", tuple(blocks))
+            self.blocks = [(slice(0, M.shape[0]), M)]
 
     def scratch(self) -> np.ndarray:
         """An empty buffer as long as the longest block, the first."""
@@ -255,27 +253,14 @@ def _csr_from_dense(A: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((A[keep], indices, indptr), shape=(n, d))
 
 
-def _csr_blocks(A: sp.csr_matrix):
-    """(rows, A[rows]) for blocks of BLOCK_ROWS rows, in row order.
-
-    A CSR that stores a duplicate entry comes as one block: scipy's
-    element-wise product then orders each row's products by another rule
-    than for a canonical CSR, so a block without duplicates would change the
-    bits of its row norms."""
-    n = A.shape[0]
-    step = BLOCK_ROWS if A.has_canonical_format else n
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        yield rows, A[rows]
-
-
 @dataclass
 class Dataset:
-    """Observations (a_i, b_i): A is stored as CSR with sorted indices.
+    """Observations (a_i, b_i): A is stored as CSR with sorted indices and
+    no duplicate entries.
 
     A float64 CSR and a float64 b are held as given, without a copy, and A's
-    indices are sorted in place; any other A is converted once (a dense
-    array through the mask of its nonzeros).
+    duplicates are summed and its indices sorted in place; any other A is
+    converted once (a dense array through the mask of its nonzeros).
 
     Products with A go through `products()`, built on first use: dense data
     is read column-major and sparse data as CSR beside a CSR copy of A^T, so
@@ -292,7 +277,7 @@ class Dataset:
             self.A = self.A.tocsr().astype(float, copy=False)
         else:
             self.A = _csr_from_dense(np.atleast_2d(np.asarray(self.A, dtype=float)))
-        self.A.sort_indices()
+        self.A.sum_duplicates()
         self.b = np.asarray(self.b, dtype=float).ravel()
         if self.A.shape[0] < 1 or self.A.shape[1] < 1:
             raise ValueError("dataset needs n >= 1 and d >= 1")
@@ -318,7 +303,8 @@ class Dataset:
         if not hasattr(self, "_row_sq"):
             sq = np.empty(self.n)
             with np.errstate(over="ignore"):
-                for rows, block in _csr_blocks(self.A):
+                for rows in _row_blocks(self.n):
+                    block = self.A[rows]
                     sq[rows] = np.asarray(block.multiply(block).sum(axis=1)).ravel()
             self._row_sq = sq
         return self._row_sq
@@ -329,8 +315,8 @@ class Dataset:
         if not hasattr(self, "_products"):
             if 3 * self.A.nnz >= 2 * self.n * self.d:
                 M = np.empty((self.n, self.d), order="F")
-                for rows, block in _csr_blocks(self.A):
-                    M[rows] = block.toarray()
+                for rows in _row_blocks(self.n):
+                    M[rows] = self.A[rows].toarray()
                 self._products = ProductPair(M)
             else:
                 self._products = ProductPair(self.A, self.A.T.tocsr())
@@ -493,9 +479,11 @@ def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.n
     """Mean of component gradients over `indices` (an unbiased estimate of
     full_gradient when indices are sampled uniformly)."""
     x = _check_point(model, x)
-    indices = np.asarray(indices, dtype=int).ravel()
+    indices = np.asarray(indices).ravel()
     if indices.size == 0:
         raise ValueError("batch must be non-empty")
+    if not np.issubdtype(indices.dtype, np.integer):  # bools are not rows
+        raise TypeError(f"indices must be integers, got dtype {indices.dtype}")
     if indices.min() < 0 or indices.max() >= model.n:
         raise IndexError("batch index out of range")
     rows, b = model.dataset.products().rows(indices), model.dataset.b[indices]

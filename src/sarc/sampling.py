@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import GLM_FAMILIES, DegenerateCurvatureError, LossModel, curvature_vector
+from .problems import (
+    GLM_FAMILIES, DegenerateCurvatureError, LossModel, check_integer, curvature_vector,
+)
 
 
 def _capped(body: float, per_iter_delta: float, d: int, n: int) -> int:
@@ -137,6 +139,7 @@ def resolve_plan(
     eps_half = eps_i / 2.0
     size = sample_size_uniform(eps_half, per_iter_delta, lip.L, d, n)
     if fixed_size is not None:
+        check_integer("fixed_size", fixed_size)
         exact_for_any_p = fixed_size >= n
     else:
         exact_for_any_p = size >= n and _capped(

@@ -64,16 +64,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.gamma1 > 1.0:
-            raise ValueError("gamma1 must be > 1")
-        if not self.gamma3 > 1.0:
-            raise ValueError("gamma3 must be > 1")
+        if not 1.0 < self.gamma1 < np.inf:
+            raise ValueError("gamma1 must be finite and > 1")
+        if not 1.0 < self.gamma3 < np.inf:
+            raise ValueError("gamma3 must be finite and > 1")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
         if not 0.0 < self.sigma_min < 1.0:
             raise ValueError("sigma_min must lie in (0, 1)")
-        if not self.sigma0 >= self.sigma_min:
-            raise ValueError("sigma0 must be >= sigma_min")
+        if not self.sigma_min <= self.sigma0 < np.inf:
+            raise ValueError("sigma0 must be finite and >= sigma_min")
         kappa_cap = min(0.5, 2.0 * self.sigma_min / 3.0)
         if not 0.0 < self.kappa_theta < kappa_cap:
             raise ValueError(f"kappa_theta must lie in (0, {kappa_cap})")

@@ -7,7 +7,10 @@ from hypothesis import settings
 from sarc import sarc_driver
 
 # every property test draws the same examples on every machine and run; a
-# test's own @settings only sets its number of examples
+# test's own @settings only sets its number of examples. The draws are seeded
+# from a digest of the test's own code and signature, so an edit to a property
+# test redraws all its examples and can surface a latent failing case of a
+# bound the edit did not touch
 settings.register_profile("sarc", derandomize=True, deadline=None, database=None)
 settings.load_profile("sarc")
 

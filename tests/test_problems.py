@@ -329,6 +329,14 @@ class TestValidation:
         with pytest.raises(IndexError):
             component_hvp(model, 5, np.zeros(1), np.ones(1))
 
+    def test_batch_rows_must_be_integers(self):
+        ds = Dataset.from_dense([[1.0], [2.0]], [1.0, 0.0])
+        model = LossModel("ridge_least_squares", 0.0, ds)
+        for bad in ([0.7], [True, False], np.array([1.0, 0.0])):
+            with pytest.raises(TypeError, match="^indices must be integers, got dtype"):
+                batch_gradient(model, np.zeros(1), bad)
+        assert batch_gradient(model, np.zeros(1), np.array([1], dtype=np.uint8)).tolist() == [0.0]
+
 
 def _fresh(model):
     """The same loss on the same data with an empty point cache."""
@@ -516,7 +524,7 @@ def _tall_csr(draw):
                               2 * BLOCK_ROWS + 5]) | st.integers(1, 30))
     d = draw(st.integers(1, 8))
     dup_share = draw(st.sampled_from([0.0, 0.5]))
-    dup_first = draw(st.booleans())  # alone, it leaves every later block canonical
+    dup_first = draw(st.booleans())  # a duplicate in row 0, summed like any other
     scales = draw(st.lists(st.sampled_from(_SCALES), min_size=1, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counts = rng.integers(0, 2 * d + 1, n)
@@ -570,15 +578,20 @@ class TestDatasetBuild:
         assert norms.tobytes() == ref.tobytes()
 
     def test_a_duplicate_in_one_block_keeps_every_row_norm(self):
-        # with a duplicate anywhere, scipy's product sums each row in another
-        # order; rows of a later block, which has none, must follow it
+        # a duplicate entry is summed in place once, so every later pass
+        # reads a canonical CSR in the same blocks as any other
         rng = np.random.default_rng(1)
         n, d, k = BLOCK_ROWS + 100, 8, 6
         indices = np.concatenate([[0, 0]] + [np.sort(rng.permutation(d)[:k]) for _ in range(n - 1)])
         indptr = np.concatenate(([0], 2 + k * np.arange(n)))
         A = sp.csr_matrix((rng.standard_normal(indices.size), indices, indptr), shape=(n, d))
-        ref = np.asarray(A.multiply(A).sum(axis=1)).ravel()
-        assert Dataset(A, np.ones(n)).row_sq_norms().tobytes() == ref.tobytes()
+        summed = A.copy()
+        summed.sum_duplicates()
+        ds = Dataset(A, np.ones(n))
+        assert ds.A is A and A.has_canonical_format
+        ref = np.asarray(summed.multiply(summed).sum(axis=1)).ravel()
+        assert ds.row_sq_norms().tobytes() == ref.tobytes()
+        assert ds.products().M.tobytes(order="F") == summed.toarray(order="F").tobytes(order="F")
 
     def test_row_norm_overflow_is_inf_without_a_warning(self):
         # each square is finite, their sum is not
@@ -596,13 +609,31 @@ class TestDatasetBuild:
         result = ds.A.data.nbytes + ds.A.indices.nbytes + ds.A.indptr.nbytes
         assert peak <= 1.2 * result
 
-    @pytest.mark.parametrize("build", ["products", "row_sq_norms"])
-    def test_column_major_copy_and_row_norms_hold_a_few_blocks(self, build):
-        ds = Dataset.from_dense(*self._dataset())
-        block = BLOCK_ROWS * ds.d * 12  # a CSR block: 8 bytes of value, 4 of index per entry
+    @pytest.mark.parametrize("build,data,blocks", [
+        ("products", "dense", 4), ("row_sq_norms", "dense", 4),
+        ("products", "duplicate", 4), ("row_sq_norms", "duplicate", 4),
+        # the sparse pair holds its CSR copy of A^T and A itself, not a copy
+        ("products", "sparse", 1), ("row_sq_norms", "sparse", 4),
+    ], ids=["products", "row_sq_norms", "products-duplicate", "row_sq_norms-duplicate",
+            "products-sparse", "row_sq_norms-sparse"])
+    def test_column_major_copy_and_row_norms_hold_a_few_blocks(self, build, data, blocks):
+        if data == "sparse":
+            A = sp.random(50_000, 1_000, density=0.01, format="csr", rng=np.random.default_rng(0))
+        else:
+            A = sp.csr_matrix(self._dataset()[0])
+            if data == "duplicate":
+                A.indices[1] = A.indices[0]  # one duplicate entry, in row 0
+        ds = Dataset(A, np.ones(A.shape[0]))
+        # a CSR block: 8 bytes of value, 4 of index per entry
+        block = BLOCK_ROWS * ds.A.nnz / ds.n * 12
         result, peak = traced_peak(getattr(ds, build))
-        size = result.M.nbytes if build == "products" else result.nbytes
-        assert peak <= size + 4 * block
+        if build == "row_sq_norms":
+            size = result.nbytes
+        elif result.MT is None:
+            size = result.M.nbytes
+        else:
+            size = result.MT.data.nbytes + result.MT.indices.nbytes + result.MT.indptr.nbytes
+        assert peak <= size + blocks * block
 
     def test_float_csr_and_labels_are_held_without_a_copy(self):
         A = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 2, 3])),

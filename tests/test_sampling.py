@@ -279,6 +279,15 @@ class TestResolvePlan:
         plan = resolve_plan(model, x, 0.5, 0.1, lip, fixed_size=10**6)
         assert plan.size == 30 and plan.exact
 
+    def test_fixed_size_must_be_an_integer(self):
+        rng = np.random.default_rng(3)
+        model, x = random_glm_instance(rng, "reg_logistic", n=30, d=4)
+        lip = lipschitz_bounds(model)
+        for bad in (2.5, True, 3.0):
+            with pytest.raises(TypeError, match="^fixed_size must be an integer"):
+                resolve_plan(model, x, 0.5, 0.1, lip, fixed_size=bad)
+        assert resolve_plan(model, x, 0.5, 0.1, lip, fixed_size=np.int64(7)).size == 7
+
     def test_eps_domain(self):
         rng = np.random.default_rng(4)
         model, x = random_glm_instance(rng, "reg_logistic")

@@ -215,6 +215,9 @@ class TestConfigValidation:
                 SolverConfig(fixed_sample_size=bad)
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=-1)
+        for name in ("gamma1", "gamma3", "sigma0"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                SolverConfig(**{name: np.inf})
 
     @pytest.mark.parametrize("name", ["gamma1", "gamma3", "sigma0", "grad_tol"])
     def test_nan_rejected(self, name):
