@@ -86,9 +86,9 @@ def agd_run(model, config, x0, L: float | None = None):
     O(L/k^2) guarantee applies with the final constant.
     """
     x = np.asarray(x0, dtype=float).ravel()
-    if L is None:
-        L = lipschitz_bounds(model).Lbar
     yield x, full_value(model, x), _diagnostic_norm(model, x), 0
+    if L is None:  # past a stationary start, which may have no curvature to bound
+        L = lipschitz_bounds(model).Lbar
     y = x.copy()
     tk = 1.0
     while True:
@@ -118,10 +118,10 @@ def sgd_run(model, config, x0, batch: int = 32, step: float | None = None):
         raise ValueError("batch must be >= 1")
     x = np.asarray(x0, dtype=float).ravel()
     n = model.n
-    if step is None:
-        step = 1.0 / lipschitz_bounds(model).Lbar
     rng = np.random.default_rng(np.random.Philox(key=config.seed))
     yield x, full_value(model, x), _diagnostic_norm(model, x), 0
+    if step is None:  # past a stationary start, as in agd_run
+        step = 1.0 / lipschitz_bounds(model).Lbar
     while True:
         if batch >= n:
             g_est = full_gradient(model, x)

@@ -37,7 +37,7 @@ class GlmFamily:
     shares: expit(-b t) for logistic, tanh(b t) for the SVM, t for ridge and
     pca. `value`, `slope` and `curvature` map (t, b, link value) to fhat,
     fhat' and fhat''; `curvature_range` is (inf, sup) of fhat''(t) for labels
-    in {-1, +1}. `link` and `slope` write into `out` when one is given.
+    in {-1, +1}. No map writes into its arguments.
     """
 
     link: Callable
@@ -47,9 +47,9 @@ class GlmFamily:
     curvature_range: tuple[float, float]
 
 
-def _times(b, t, out=None) -> np.ndarray:
-    """b t as an array (0-d for scalars), written into `out` when one is given."""
-    return np.asarray(np.multiply(b, t, out=out))
+def _times(b, t) -> np.ndarray:
+    """b t as a new array (0-d for scalars)."""
+    return np.asarray(np.multiply(b, t))
 
 
 def _logistic_value(t, b, s) -> np.ndarray:
@@ -71,63 +71,49 @@ def _logistic_value(t, b, s) -> np.ndarray:
     return z
 
 
-def _logistic_link(t, b, out=None) -> np.ndarray:
+def _logistic_link(t, b) -> np.ndarray:
     """expit(-b t) as 1 / (1 + exp(b t)), computed in place in the one array
     b t: scipy's formula, with numpy's SIMD exp in place of the C library's.
     Where b t passes 709.78, exp overflows to inf and the link is 0, as
     expit's is."""
-    z = _times(b, t, out)
+    z = _times(b, t)
     with np.errstate(over="ignore"):
         np.exp(z, out=z)
     z += 1.0
     return np.divide(1.0, z, out=z)
 
 
-def _logistic_slope(t, b, s, out=None) -> np.ndarray:
-    """-(b s): bit for bit (-b) s, since IEEE products are sign-symmetric."""
-    z = _times(b, s, out)
-    return np.negative(z, out=z)
-
-
-def _svm_slope(t, b, u, out=None) -> np.ndarray:
-    """-b (1 - u^2), as -(b (1 - u^2))."""
-    z = _times(u, u, out)
-    np.subtract(1.0, z, out=z)
-    z *= b
-    return np.negative(z, out=z)
-
-
 GLM_FAMILIES = {
     "ridge_least_squares": GlmFamily(
-        link=lambda t, b, out=None: np.positive(t, out=out),
+        link=lambda t, b: t,
         value=lambda t, b, u: np.square(t - b),
-        slope=lambda t, b, u, out=None: np.multiply(2.0, np.subtract(t, b, out=out), out=out),
+        slope=lambda t, b, u: 2.0 * (t - b),
         curvature=lambda t, b, u: np.full(np.shape(t), 2.0),
         curvature_range=(2.0, 2.0),
     ),
     "reg_logistic": GlmFamily(
         # fhat = ln(1+exp(-b t)) = softplus(-b t), evaluated without overflow;
-        # fhat'' = b^2 s(1-s) with s = sigmoid(-b t), and b^2 = 1 exactly for
-        # the labels LossModel admits
+        # fhat' = -b s and fhat'' = b^2 s(1-s) with s = sigmoid(-b t), and
+        # b^2 = 1 exactly for the labels LossModel admits
         link=_logistic_link,
         value=_logistic_value,
-        slope=_logistic_slope,
+        slope=lambda t, b, s: -(b * s),
         curvature=lambda t, b, s: s * (1.0 - s),
         curvature_range=(0.0, 0.25),
     ),
     "nonconvex_svm": GlmFamily(
         # d^2/dt^2 (1 - tanh(b t)) = 2 b^2 tanh(b t) sech^2(b t)
-        link=lambda t, b, out=None: np.tanh(np.multiply(b, t, out=out), out=out),
+        link=lambda t, b: np.tanh(b * t),
         value=lambda t, b, u: 1.0 - u,
-        slope=_svm_slope,
+        slope=lambda t, b, u: -(b * (1.0 - u * u)),
         curvature=lambda t, b, u: 2.0 * b * b * u * (1.0 - u * u),
         # max |d^2/dt^2 (1 - tanh t)| = 4/(3*sqrt(3)), attained where tanh^2 t = 1/3
         curvature_range=(-4.0 / (3.0 * np.sqrt(3.0)), 4.0 / (3.0 * np.sqrt(3.0))),
     ),
     "pca_quadratic": GlmFamily(
-        link=lambda t, b, out=None: np.positive(t, out=out),
+        link=lambda t, b: t,
         value=lambda t, b, u: -0.5 * u * u,
-        slope=lambda t, b, u, out=None: np.negative(u, out=out),
+        slope=lambda t, b, u: -u,
         curvature=lambda t, b, u: np.full(np.shape(t), -1.0),
         curvature_range=(-1.0, -1.0),
     ),
@@ -169,27 +155,13 @@ class ProductPair:
     and A^T u sums one ddot per column and block (numpy's vecdot), block
     after block in row order. Sparse rows are CSR beside A^T in `MT`: a CSR
     copy for the whole matrix, whose gather has the bits of the CSC scatter
-    `M.T @ u` in less time, or the free view `M.T` for sampled rows; they are
-    read whole, as one block that is `M` itself.
+    `M.T @ u` in less time, or the free view `M.T` for sampled rows.
     """
 
     def __init__(self, M: np.ndarray | sp.csr_matrix, MT: sp.spmatrix | None = None):
         self.M, self.MT = M, MT
         if MT is None:
             self.blocks = [(rows, M[rows]) for rows in _row_blocks(M.shape[0])]
-        else:
-            self.blocks = [(slice(0, M.shape[0]), M)]
-
-    def scratch(self) -> np.ndarray:
-        """An empty buffer as long as the longest block, the first."""
-        return np.empty(self.blocks[0][0].stop)
-
-    def product(self, block, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """block v, written into `out`."""
-        if self.MT is not None:
-            out[...] = block @ v
-            return out
-        return np.matmul(block, v, out=out)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.MT is not None:
@@ -199,30 +171,25 @@ class ProductPair:
             np.matmul(block, v, out=out[rows])
         return out
 
-    def fold(self, row_map: Callable) -> np.ndarray:
-        """A^T w, where w over each block's rows is row_map(rows, A[rows]).
-
-        A row_map that multiplies by the block too reads it while it is still
-        in cache, so A is read once for both products."""
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
         if self.MT is not None:
-            return self.MT @ row_map(slice(None), self.M)
+            return self.MT @ u
         out = np.zeros(self.M.shape[1])
         for rows, block in self.blocks:
-            out += np.vecdot(block.T, row_map(rows, block))
+            out += np.vecdot(block.T, u[rows])
         return out
 
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        return self.fold(lambda rows, block: u[rows])
-
     def hvp(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """A^T (c * A v), bit for bit rmatvec(c * matvec(v))."""
-        w = self.scratch()
-
-        def scaled(rows, block):
-            cv = self.product(block, v, w[:block.shape[0]])
-            return np.multiply(c[rows], cv, out=cv)
-
-        return self.fold(scaled)
+        """A^T (c * A v), bit for bit rmatvec(c * matvec(v)); dense data reads
+        each block once, for both products, while it is still in cache."""
+        if self.MT is not None:
+            return self.MT @ (c * (self.M @ v))
+        out, w = np.zeros(self.M.shape[1]), np.empty(self.blocks[0][0].stop)
+        for rows, block in self.blocks:
+            cv = np.matmul(block, v, out=w[:block.shape[0]])
+            cv *= c[rows]
+            out += np.vecdot(block.T, cv)
+        return out
 
     def rows(self, idx: np.ndarray) -> "ProductPair":
         """The pair over the rows `idx`, copied out of this one."""
@@ -355,8 +322,7 @@ class LossModel:
     `linear` is the vector c of the linear term c^T x (defaults to 0).
     The last point's margins and link value are cached (`at`), so the value,
     gradient, curvature sweep and Hessian build at one point read A once for
-    the margins and once more for the gradient, in one sweep when the
-    gradient is asked for first.
+    the margins and once more for the gradient.
     """
 
     family: str
@@ -401,43 +367,19 @@ class LossModel:
         """Hessian contribution of the per-component regularizer (a multiple of I)."""
         return 2.0 * self.reg_scale * self.lam
 
-    def at(self, x: np.ndarray, gradient: bool = False) -> PointEval:
-        """Margins and link value at a checked point x, and the data-term
-        gradient if asked for, from a one-entry cache.
+    def at(self, x: np.ndarray) -> PointEval:
+        """Margins and link value at a checked point x, from a one-entry cache.
 
         The key is a copy of x's bytes, so editing the caller's array in place
         afterwards can never produce a stale hit. A value or curvature query
         at a new point forms no gradient: rejected trial points never need it.
         """
         key = x.tobytes()
-        p = self._point
-        fam, b, pair = GLM_FAMILIES[self.family], self.dataset.b, self.dataset.products()
-        if p is None or p.key != key:
-            if gradient:
-                t, link, g = _gradient_sweep(fam, pair, b, x)
-                p = PointEval(key, _readonly(t), _readonly(link), data_gradient=_readonly(g))
-            else:
-                t = _readonly(pair.matvec(x))
-                p = PointEval(key, t, _readonly(fam.link(t, b)))
-            self._point = p
-        elif gradient and p.data_gradient is None:
-            p.data_gradient = _readonly(pair.rmatvec(fam.slope(p.t, b, p.link)) / b.shape[0])
-        return p
-
-
-def _gradient_sweep(fam: GlmFamily, pair: ProductPair, b: np.ndarray, x: np.ndarray):
-    """Margins t = A x, the link value and the data-term gradient
-    A^T fhat'(t) / n in one read of each block of rows; bit for bit the
-    products taken one after the other. Each block writes its margins and
-    link values in place and its slope into one scratch buffer."""
-    t, link, w = np.empty(b.shape[0]), np.empty(b.shape[0]), pair.scratch()
-
-    def slope(rows, block):
-        tr, br = pair.product(block, x, t[rows]), b[rows]
-        lr = fam.link(tr, br, out=link[rows])
-        return fam.slope(tr, br, lr, out=w[:block.shape[0]])
-
-    return t, link, pair.fold(slope) / b.shape[0]
+        if self._point is None or self._point.key != key:
+            t = _readonly(self.dataset.products().matvec(x))
+            link = GLM_FAMILIES[self.family].link(t, self.dataset.b)
+            self._point = PointEval(key, t, _readonly(link))
+        return self._point
 
 
 def _check_point(model: LossModel, x: np.ndarray) -> np.ndarray:
@@ -471,8 +413,11 @@ def full_value(model: LossModel, x: np.ndarray) -> float:
 def full_gradient(model: LossModel, x: np.ndarray) -> np.ndarray:
     """Exact gradient of f (gradients are never sub-sampled)."""
     x = _check_point(model, x)
-    g = model.at(x, gradient=True).data_gradient
-    return g + model.reg_curvature() * x + model.linear
+    p, fam, b = model.at(x), GLM_FAMILIES[model.family], model.dataset.b
+    if p.data_gradient is None:
+        g = model.dataset.products().rmatvec(fam.slope(p.t, b, p.link)) / model.n
+        p.data_gradient = _readonly(g)
+    return p.data_gradient + model.reg_curvature() * x + model.linear
 
 
 def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -487,7 +432,8 @@ def batch_gradient(model: LossModel, x: np.ndarray, indices: np.ndarray) -> np.n
     if indices.min() < 0 or indices.max() >= model.n:
         raise IndexError("batch index out of range")
     rows, b = model.dataset.products().rows(indices), model.dataset.b[indices]
-    _, _, g = _gradient_sweep(GLM_FAMILIES[model.family], rows, b, x)
+    fam, t = GLM_FAMILIES[model.family], rows.matvec(x)
+    g = rows.rmatvec(fam.slope(t, b, fam.link(t, b))) / b.shape[0]
     return g + model.reg_curvature() * x + model.linear
 
 

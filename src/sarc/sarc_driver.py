@@ -265,10 +265,11 @@ def sarc_init(
     state = SolverState(
         x=x0.copy(), f=f0, grad=grad, grad_norm=gn,
         sigma=config.sigma0, eps_i=eps0, trace=[], ledger=ledger,
-        stream=SampleStream(config.seed), lip=lipschitz_bounds(model), phase=phase,
+        stream=SampleStream(config.seed), phase=phase,
         status=_start_status(f0, gn, config),
     )
-    if not state.terminal:
+    if not state.terminal:  # a stationary start may have no curvature to bound
+        state.lip = lipschitz_bounds(model)
         _build(state, model, config, x0)
     _record(state, success=None)
     return state

@@ -376,6 +376,14 @@ class TestBaselines:
         res = sgd_run(model, cfg, np.zeros(4), batch=2)
         assert res.status == "stationary"
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_stationary_start_needs_no_curvature(self, algo):
+        # zero data and no ridge term: every Lipschitz bound is 0, which no
+        # solver may ask for before it has seen the start is stationary
+        model = LossModel("reg_logistic", 0.0, Dataset.from_dense(np.zeros((5, 2)), np.ones(5)))
+        res = SOLVERS[algo](model, SolverConfig(), np.ones(2))
+        assert res.status == "stationary" and len(res.trace) == 1
+
     def test_runs_take_model_config_x0_and_their_own_options_only(self):
         for algo, solver in SOLVERS.items():
             assert list(inspect.signature(solver).parameters)[:3] == ["model", "config", "x0"]
