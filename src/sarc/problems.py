@@ -156,19 +156,31 @@ class ProductPair:
     after block in row order. Sparse rows are CSR beside A^T in `MT`: a CSR
     copy for the whole matrix, whose gather has the bits of the CSC scatter
     `M.T @ u` in less time, or the free view `M.T` for sampled rows.
+
+    Given `order`, a permutation of the rows, A v is computed over the CSR
+    copy `M[order]` and scattered back to row order. Each row is still summed
+    alone in its own column order, so the bits are those of `M @ v`; rows
+    ordered by length end their inner loops predictably, which makes A v over
+    short, uneven rows markedly faster.
     """
 
-    def __init__(self, M: np.ndarray | sp.csr_matrix, MT: sp.spmatrix | None = None):
-        self.M, self.MT = M, MT
+    def __init__(self, M: np.ndarray | sp.csr_matrix, MT: sp.spmatrix | None = None,
+                 order: np.ndarray | None = None):
+        self.M, self.MT, self.order = M, MT, order
         if MT is None:
             self.blocks = [(rows, M[rows]) for rows in _row_blocks(M.shape[0])]
+        elif order is not None:
+            self.ordered = M[order]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.MT is not None:
+        if self.MT is not None and self.order is None:
             return self.M @ v
         out = np.empty(self.M.shape[0])
-        for rows, block in self.blocks:
-            np.matmul(block, v, out=out[rows])
+        if self.MT is None:
+            for rows, block in self.blocks:
+                np.matmul(block, v, out=out[rows])
+        else:
+            out[self.order] = self.ordered @ v
         return out
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
@@ -183,7 +195,7 @@ class ProductPair:
         """A^T (c * A v), bit for bit rmatvec(c * matvec(v)); dense data reads
         each block once, for both products, while it is still in cache."""
         if self.MT is not None:
-            return self.MT @ (c * (self.M @ v))
+            return self.MT @ (c * self.matvec(v))
         out, w = np.zeros(self.M.shape[1]), np.empty(self.blocks[0][0].stop)
         for rows, block in self.blocks:
             cv = np.matmul(block, v, out=w[:block.shape[0]])
@@ -231,9 +243,11 @@ class Dataset:
 
     Products with A go through `products()`, built on first use: dense data
     is read column-major and sparse data as CSR beside a CSR copy of A^T, so
-    a pass costs O(n d) or O(nnz) in the layout each product streams. The
-    column-major copy and the row norms are filled one block of rows at a
-    time, so building them holds no more than the result and one block.
+    a pass costs O(n d) or O(nnz) in the layout each product streams. Sparse
+    A v reads a third CSR, A's rows in a stable order of their lengths (none
+    when they are in that order already), and keeps the bits of `A @ v`.
+    The column-major copy and the row norms are filled one block of rows at
+    a time, so building them holds no more than the result and one block.
     """
 
     A: sp.csr_matrix
@@ -286,7 +300,10 @@ class Dataset:
                     M[rows] = self.A[rows].toarray()
                 self._products = ProductPair(M)
             else:
-                self._products = ProductPair(self.A, self.A.T.tocsr())
+                order = np.argsort(np.diff(self.A.indptr), kind="stable")
+                if np.all(order[:-1] < order[1:]):
+                    order = None  # rows already in order of length need no copy
+                self._products = ProductPair(self.A, self.A.T.tocsr(), order)
         return self._products
 
     @classmethod
@@ -354,6 +371,10 @@ class LossModel:
             raise ValueError("linear term dimension mismatch")
         if not np.all(np.isfinite(self.linear)):
             raise ValueError("linear term contains non-finite entries")
+        if self.reg_curvature() == 0 and self.linear.any() and not self.dataset.A.data.any():
+            # zero data makes every family's data term a constant
+            raise ValueError("f = const + c^T x is unbounded below: zero data, "
+                             "no regularizer curvature and a nonzero linear term")
 
     @property
     def n(self) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -115,6 +115,7 @@ class TestLibsvmParsing:
         assert np.array_equal(ds.A.toarray(), [[0.5, 0.0, 2.0]])
 
     @settings(max_examples=100)
+    @seed(0)
     @given(st.data())
     def test_round_trip(self, data):
         n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from sarc import cubic
@@ -106,6 +106,7 @@ def _agree(y, other, lam_min, sigma, tol):
 
 class TestPositiveDefiniteSolve:
     @settings(max_examples=200)
+    @seed(0)
     @given(_spd_subproblems())
     # a gap of 3.2e-8 above the oracle's value, which tol = 1e-4 of the scale allows
     @example((np.array([2.1, 2.1]), np.array([1.75]), 1.0, 1.0, -4.0))
@@ -123,6 +124,7 @@ class TestPositiveDefiniteSolve:
         assert _stationarity(diag, off, gnorm, sigma, y) <= tol
 
     @settings(max_examples=200)
+    @seed(0)
     @given(_spd_subproblems())
     def test_agrees_with_the_eigensolve_path(self, problem):
         diag, off, gnorm, sigma, tol, lam_min, y = _spd_case(problem)
@@ -136,6 +138,7 @@ class TestPositiveDefiniteSolve:
         assert _agree(y, y_eig, lam_min, sigma, tol)
 
     @settings(max_examples=200)
+    @seed(0)
     @given(_spd_subproblems(), _finite(-3.0, 3.0))
     def test_warm_start_agrees_with_cold_start(self, problem, shift):
         diag, off, gnorm, sigma, tol, lam_min, y = _spd_case(problem)
@@ -145,6 +148,7 @@ class TestPositiveDefiniteSolve:
         assert _agree(y, y_warm, lam_min, sigma, tol)
 
     @settings(max_examples=200)
+    @seed(0)
     @given(_irreducible_subproblems(), _finite(-13.0, -4.0), _finite(-3.0, 3.0))
     def test_warm_start_on_indefinite_tridiagonals(self, problem, exponent, shift):
         # the barrier -lambda_min(T) can lie above the start, which is then ignored
@@ -250,6 +254,7 @@ class TestTridiagonalSolve:
             assert val(y) <= val(y_star) + 1e-8 * max(1.0, abs(val(y_star)))
 
     @settings(max_examples=300)
+    @seed(0)
     @given(_cubic_subproblems())
     def test_global_min_property(self, problem):
         diag, off, gnorm, sigma = problem
@@ -263,6 +268,7 @@ class TestTridiagonalSolve:
         assert val(y) <= val(y_star) + 1e-8 * max(1.0, abs(val(y_star)))
 
     @settings(max_examples=200)
+    @seed(0)
     @given(_irreducible_subproblems(), _finite(-13.0, -4.0))
     def test_tol_bounds_the_stationarity_residual(self, problem, exponent):
         diag, off, gnorm, sigma = problem

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -307,6 +307,7 @@ class TestResolvePlan:
             SamplingPlan(3, False, probabilities=np.array([np.nan, 0.5, 0.5]))
 
     @settings(max_examples=200)
+    @seed(0)
     @given(seed=st.integers(0, 2**32 - 1),
            family=st.sampled_from(FAMILIES),
            n=st.integers(2, 3000),
@@ -345,6 +346,7 @@ class TestSampleStream:
         assert np.all(idx == 2)
 
     @settings(max_examples=200)
+    @seed(0)
     @given(key=st.integers(0, 2**64 - 1),
            weights=hnp.arrays(float, st.integers(1, 60),
                               elements=st.sampled_from([0.0]) | st.floats(1e-3, 1.0)),
@@ -465,6 +467,7 @@ class TestWeightsUnbiased:
     to 1/n, so they are left out."""
 
     @settings(max_examples=40)
+    @seed(0)
     @given(st.sampled_from(FAMILIES), st.sampled_from(["uniform", "nonuniform"]),
            st.integers(0, 2**32 - 1))
     def test_weights_average_to_one_over_n(self, family, scheme, seed):
@@ -507,6 +510,7 @@ class TestBuildCounts:
         return random_glm_instance(rng, family, n=n, d=3)
 
     @settings(max_examples=200, deadline=None)
+    @seed(0)
     @given(st.data())
     def test_sampled_build_matches_a_bincount_over_all_rows(self, data):
         family = data.draw(st.sampled_from(FAMILIES))
