@@ -244,8 +244,8 @@ class Dataset:
     Products with A go through `products()`, built on first use: dense data
     is read column-major and sparse data as CSR beside a CSR copy of A^T, so
     a pass costs O(n d) or O(nnz) in the layout each product streams. Sparse
-    A v reads a third CSR, A's rows in a stable order of their lengths (none
-    when they are in that order already), and keeps the bits of `A @ v`.
+    A v reads a third CSR, A's rows in a stable order of their lengths, and
+    keeps the bits of `A @ v`.
     The column-major copy and the row norms are filled one block of rows at
     a time, so building them holds no more than the result and one block.
     """
@@ -301,8 +301,6 @@ class Dataset:
                 self._products = ProductPair(M)
             else:
                 order = np.argsort(np.diff(self.A.indptr), kind="stable")
-                if np.all(order[:-1] < order[1:]):
-                    order = None  # rows already in order of length need no copy
                 self._products = ProductPair(self.A, self.A.T.tocsr(), order)
         return self._products
 
@@ -372,9 +370,12 @@ class LossModel:
         if not np.all(np.isfinite(self.linear)):
             raise ValueError("linear term contains non-finite entries")
         if self.reg_curvature() == 0 and self.linear.any() and not self.dataset.A.data.any():
-            # zero data makes every family's data term a constant
-            raise ValueError("f = const + c^T x is unbounded below: zero data, "
-                             "no regularizer curvature and a nonzero linear term")
+            # zero data makes every family's data term a constant: with no
+            # regularizer curvature every Lipschitz bound is 0, and c != 0
+            # leaves f = const + c^T x without a minimizer
+            raise ValueError("zero data and no regularizer curvature make every Lipschitz "
+                             "bound 0, and a nonzero linear term leaves f = const + c^T x "
+                             "unbounded below")
 
     @property
     def n(self) -> int:
